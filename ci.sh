@@ -37,6 +37,10 @@ cargo run --release -q -p twigbench --bin twigfuzz -- \
 # Figure S smoke: every figure-16 query through every algorithm's indexed
 # driver with pruning on and off; the driver asserts the result sets are
 # identical per cell, so this fails on any pruning soundness regression.
+# It then serves each query from a default QueryService and asserts the
+# served rows equal the indexed Twig2Stack rows, the summary's predicted
+# scan is within 4x (+16) of the counted one, and the pruning rule plans
+# XMark-Q2 unpruned and TreeBank-Q1 pruned.
 cargo run --release -q -p twigbench --bin experiments -- --quick figS \
     > /dev/null
 
@@ -53,15 +57,6 @@ cargo run --release -q -p twigbench --bin experiments -- --quick figM \
 # cached arm scored hits, and it ran strictly fewer plan analyses than
 # the uncached arm.
 cargo run --release -q -p twigbench --bin experiments -- --quick figT \
-    > /dev/null
-
-# Figure A smoke: the cost-based planner over every figure-16 query on
-# all three datasets. The driver asserts per cell that the adaptive arm
-# is byte-equal to all four forced arms, that adaptive wall clock stays
-# within 1.1x of the best forced arm, and that the planner disables
-# pruning on XMark-Q2 (the measured pruning-hurts case) — so this fails
-# on any cost-model or decision regression.
-cargo run --release -q -p twigbench --bin experiments -- --quick figA \
     > /dev/null
 
 # Figure E smoke: the incremental edit chain vs rebuild-from-scratch on

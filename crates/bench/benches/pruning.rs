@@ -151,7 +151,7 @@ fn export_json(_c: &mut Criterion) {
     // Stream read counters for the whole Figure 16 workload (Twig²Stack
     // rows of Figure S); zero when the obs feature is compiled out.
     json.push_str("  \"figS_twig2stack\": [\n");
-    let (rows, _) = figs(Profile::Quick);
+    let (rows, _, _) = figs(Profile::Quick);
     let t2s: Vec<_> = rows
         .iter()
         .filter(|r| r.algo == Algo::Twig2Stack)

@@ -116,10 +116,10 @@ fn export_json(_c: &mut Criterion) {
     json.push_str("  \"figT\": [\n");
     let (rows, _) = figt(Profile::Quick, &[1, 4]);
     for (i, r) in rows.iter().enumerate() {
-        let FigTRow { dataset, threads, cache_on, queries_run, qps, analyses_run, .. } = r;
+        let FigTRow { dataset, threads, cache_on, queries_run, qps, plan_cache_misses, .. } = r;
         json.push_str(&format!(
             "    {{\"dataset\": \"{dataset}\", \"threads\": {threads}, \"cache\": {cache_on}, \
-             \"queries\": {queries_run}, \"qps\": {qps:.0}, \"analyses\": {analyses_run}}}{}\n",
+             \"queries\": {queries_run}, \"qps\": {qps:.0}, \"analyses\": {plan_cache_misses}}}{}\n",
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! experiments [--quick|--scaled] [fig14|fig15|fig16|fig17|fig18|fig19|figA|figE|figM|figP|figS|figT|figU|figV|table1|all]
+//! experiments [--quick|--scaled] [fig14|fig15|fig16|fig17|fig18|fig19|figE|figM|figP|figS|figT|figU|figV|table1|all]
 //! ```
 //!
 //! `--quick` uses small documents (seconds); the default "full" profile
@@ -58,7 +58,6 @@ fn main() {
                 | "fig17"
                 | "fig18"
                 | "fig19"
-                | "figA"
                 | "figE"
                 | "figM"
                 | "figP"
@@ -70,7 +69,7 @@ fn main() {
         )
     }) {
         eprintln!(
-            "usage: experiments [--quick|--scaled] [fig14|fig15|fig16|fig17|fig18|fig19|figA|figE|figM|figP|figS|figT|figU|figV|table1|all]"
+            "usage: experiments [--quick|--scaled] [fig14|fig15|fig16|fig17|fig18|fig19|figE|figM|figP|figS|figT|figU|figV|table1|all]"
         );
         std::process::exit(2);
     }
@@ -108,13 +107,6 @@ fn main() {
         println!("{report}");
         emit_sidecar("fig19", profile);
     }
-    if wants("figA") {
-        let (_, report) = twigbench::figa(profile);
-        println!("{report}");
-        // Named "planner": the sidecar carries the plan_choices_* and
-        // prediction counters next to the engines' actual counters.
-        emit_sidecar("planner", profile);
-    }
     if wants("figE") {
         let (_, report) = twigbench::fige(profile);
         println!("{report}");
@@ -135,7 +127,7 @@ fn main() {
         emit_sidecar("figP", profile);
     }
     if wants("figS") {
-        let (_, report) = twigbench::figs(profile);
+        let (_, _, report) = twigbench::figs(profile);
         println!("{report}");
         emit_sidecar("figS", profile);
     }

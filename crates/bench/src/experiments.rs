@@ -14,7 +14,7 @@ use crate::workload::{
     treebank, treebank_queries, xmark, xmark_queries, Dataset, NamedQuery, Profile,
     CATALOG_FAMILIES,
 };
-use gtpquery::{Gtp, ResultSet};
+use gtpquery::{Gtp, QueryEstimate, ResultSet};
 use std::time::{Duration, Instant};
 use twig2stack::{
     evaluate_early, evaluate_indexed, evaluate_parallel, match_document, match_document_parallel,
@@ -548,6 +548,44 @@ fn indexed_once(
     }
 }
 
+/// One served plan of Figure S: the default [`twigserve::QueryService`]
+/// answering a Figure 16 query with the pruning policy its summary rule
+/// ([`gtpquery::cost::pruning_policy`]) picked.
+#[derive(Debug, Clone)]
+pub struct FigSPlanRow {
+    /// Dataset name.
+    pub dataset: String,
+    /// Query name.
+    pub query: &'static str,
+    /// Whether the service's plan kept path-summary pruning on.
+    pub pruned: bool,
+    /// The summary's predicted stream scan under the chosen policy.
+    pub predicted_scan: u64,
+    /// Stream elements the counted service run delivered (zero when the
+    /// `obs` feature is off).
+    pub counted_scan: u64,
+    /// Result rows (equal to the Twig²Stack indexed rows, asserted).
+    pub results: usize,
+    /// Per-request wall time of the service (best-of-3 over an
+    /// iteration loop).
+    pub time_served: Duration,
+    /// The fastest indexed arm of this query in the cell table
+    /// (`algorithm/policy`).
+    pub best_arm: String,
+    /// That arm's best-of-3 wall time.
+    pub time_best_arm: Duration,
+}
+
+/// The misprediction window for [`FigSPlanRow`]: a counted scan more
+/// than a factor 4 (plus 16 elements of slack for tiny queries) away
+/// from the prediction means the summary estimate is wrong, not noisy.
+/// Factor 4 separates "estimate noise" (feasible sets over-approximate)
+/// from a cardinality off by orders of magnitude.
+fn scan_within_tolerance(predicted: u64, actual: u64) -> bool {
+    actual <= predicted.saturating_mul(4).saturating_add(16)
+        && predicted <= actual.saturating_mul(4).saturating_add(16)
+}
+
 /// Figure S (not in the paper): path-summary pruned streams vs full
 /// streams, per Figure 16 query and algorithm. Reports the stream read
 /// counters (`elements_scanned` off vs on, plus what pruning filtered and
@@ -556,13 +594,35 @@ fn indexed_once(
 /// run's — the pruning soundness contract — so the `figS` smoke stage in
 /// `ci.sh` doubles as an end-to-end equivalence check.
 ///
+/// A second table covers the served plans: per query, a default
+/// [`twigserve::QueryService`] picks the pruning policy from the path
+/// summary, and the experiment asserts
+///
+/// 1. **soundness** — the served rows equal the Twig²Stack indexed rows;
+/// 2. **the estimate holds** — the counted scan lands within a factor 4
+///    (+16 elements) of the predicted one (zero mispredictions);
+/// 3. **the measured calls** — XMark-Q2, whose feasibility filters pass
+///    every stream element, plans unpruned; TreeBank-Q1, where pruning
+///    skips most candidates, plans pruned.
+///
+/// It also reports the served request time against the fastest indexed
+/// arm of the cell table (the ratio is reported, not asserted).
+///
 /// The counters come from the `twigobs` thread-local accumulator: each
 /// counted run is bracketed by [`twigobs::take`], and every snapshot is
 /// re-absorbed afterwards so the binary's metrics sidecar still sees the
 /// run's totals. With the `obs` feature disabled the counter columns read
-/// zero; the equivalence assertions still run.
-pub fn figs(profile: Profile) -> (Vec<FigSRow>, String) {
+/// zero and the scan-tolerance check is skipped; the equivalence
+/// assertions still run.
+pub fn figs(profile: Profile) -> (Vec<FigSRow>, Vec<FigSPlanRow>, String) {
+    use twigserve::{QueryService, ServiceConfig};
+
+    let iters: u32 = match profile {
+        Profile::Quick => 6,
+        Profile::Full | Profile::Scaled => 12,
+    };
     let mut out = Vec::new();
+    let mut plans = Vec::new();
     let xmark_qs = if profile == Profile::Scaled {
         // XMark-Q1's full-twig output is quadratic in scale: every
         // `bidder/personref` pair joins with every `//reserve` under the
@@ -633,6 +693,83 @@ pub fn figs(profile: Profile) -> (Vec<FigSRow>, String) {
                 });
             }
         }
+        let svc = QueryService::new(ds.doc.clone(), ds.index.clone(), ServiceConfig::default());
+        for nq in queries {
+            let policy = svc.planned(nq.text).expect("figS query plans");
+            let est = QueryEstimate::compute(&nq.gtp, ds.index.summary(), ds.doc.labels());
+            let predicted_scan = if policy.is_enabled() {
+                est.scan_pruned
+            } else {
+                est.scan_full
+            };
+            // One counted request (the plan is cached by now, so the
+            // counters are the stream scan alone).
+            let ambient = twigobs::take();
+            let served = svc.execute(nq.text).expect("figS served query");
+            let counted = twigobs::take();
+            twigobs::absorb(&ambient);
+            twigobs::absorb(&counted);
+            let (_, indexed) = twig2stack_indexed_once(ds, &nq.gtp, policy);
+            assert_eq!(
+                served, indexed,
+                "service diverged from Twig²Stack indexed rows on {}/{}",
+                ds.name, nq.name
+            );
+            let counted_scan = counted.get(twigobs::Counter::ElementsScanned);
+            assert!(
+                !twigobs::ENABLED || scan_within_tolerance(predicted_scan, counted_scan),
+                "summary estimate mispredicted {}/{}: predicted {predicted_scan}, \
+                 counted {counted_scan}",
+                ds.name,
+                nq.name
+            );
+            // Per-request wall time: best-of-3 over an `iters` loop,
+            // amortizing timer noise on microsecond-scale queries.
+            let mut time_served = Duration::MAX;
+            for _ in 0..3 {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(svc.execute(nq.text).expect("timed figS request"));
+                }
+                time_served = time_served.min(t0.elapsed() / iters);
+            }
+            let (best_arm, time_best_arm) = out
+                .iter()
+                .filter(|r| r.dataset == ds.name && r.query == nq.name)
+                .flat_map(|r| {
+                    [
+                        (format!("{}/off", r.algo.name()), r.time_full),
+                        (format!("{}/on", r.algo.name()), r.time_pruned),
+                    ]
+                })
+                .min_by_key(|(_, t)| *t)
+                .expect("the cell table has this query");
+            plans.push(FigSPlanRow {
+                dataset: ds.name.clone(),
+                query: nq.name,
+                pruned: policy.is_enabled(),
+                predicted_scan,
+                counted_scan,
+                results: served.len(),
+                time_served,
+                best_arm,
+                time_best_arm,
+            });
+        }
+    }
+    // The two calls the rule exists for: pruning hurts XMark-Q2 (every
+    // person element sits inside the root cover) and pays on TreeBank-Q1.
+    for (query, pruned) in [("XMark-Q2", false), ("TreeBank-Q1", true)] {
+        let row = plans
+            .iter()
+            .find(|r| r.query == query)
+            .expect("a figure-16 query");
+        assert_eq!(
+            row.pruned,
+            pruned,
+            "the summary rule must plan {query} with pruning {}",
+            if pruned { "on" } else { "off" }
+        );
     }
     let rows: Vec<Vec<String>> = out
         .iter()
@@ -660,8 +797,29 @@ pub fn figs(profile: Profile) -> (Vec<FigSRow>, String) {
             ]
         })
         .collect();
+    let plan_rows: Vec<Vec<String>> = plans
+        .iter()
+        .map(|r| {
+            vec![
+                r.dataset.clone(),
+                r.query.to_string(),
+                if r.pruned { "on" } else { "off" }.to_string(),
+                format!("{}", r.predicted_scan),
+                format!("{}", r.counted_scan),
+                format!("{}", r.results),
+                ms(r.time_served),
+                ms(r.time_best_arm),
+                r.best_arm.clone(),
+                format!(
+                    "{:.2}",
+                    r.time_served.as_secs_f64() / r.time_best_arm.as_secs_f64().max(1e-9)
+                ),
+            ]
+        })
+        .collect();
     let report = format!(
-        "Figure S — path-summary pruned streams vs full streams\n{}",
+        "Figure S — path-summary pruned streams vs full streams\n{}\n\
+         Figure S — served plans (default QueryService, summary pruning rule)\n{}",
         render_table(
             &[
                 "dataset",
@@ -677,9 +835,24 @@ pub fn figs(profile: Profile) -> (Vec<FigSRow>, String) {
                 "results",
             ],
             &rows
+        ),
+        render_table(
+            &[
+                "dataset",
+                "query",
+                "pruning",
+                "pred scan",
+                "scan",
+                "rows",
+                "served",
+                "best arm",
+                "arm",
+                "ratio",
+            ],
+            &plan_rows
         )
     );
-    (out, report)
+    (out, plans, report)
 }
 
 /// One measured cell of Figure T: a dataset served at a concurrency
@@ -700,8 +873,9 @@ pub struct FigTRow {
     pub qps: f64,
     /// Plan-cache hits observed by the service.
     pub plan_cache_hits: u64,
-    /// Feasibility analyses actually run (the cost the cache amortizes).
-    pub analyses_run: u64,
+    /// Plan-cache misses: each runs the feasibility analysis (the cost
+    /// the cache amortizes).
+    pub plan_cache_misses: u64,
     /// Queries shed by the overload policy (asserted zero: the run is
     /// sized to queue, not shed).
     pub rejected: u64,
@@ -783,7 +957,7 @@ pub fn figt(profile: Profile, threads: &[usize]) -> (Vec<FigTRow>, String) {
                 if cache_on {
                     assert!(stats.plan_cache_hits >= 1, "repeated queries must hit");
                 }
-                analyses_by_arm[cache_on as usize] = stats.analyses_run;
+                analyses_by_arm[cache_on as usize] = stats.plan_cache_misses;
                 out.push(FigTRow {
                     dataset: ds.name.clone(),
                     threads: t,
@@ -792,7 +966,7 @@ pub fn figt(profile: Profile, threads: &[usize]) -> (Vec<FigTRow>, String) {
                     elapsed,
                     qps: queries_run as f64 / elapsed.as_secs_f64().max(1e-9),
                     plan_cache_hits: stats.plan_cache_hits,
-                    analyses_run: stats.analyses_run,
+                    plan_cache_misses: stats.plan_cache_misses,
                     rejected: stats.queries_rejected,
                 });
             }
@@ -818,7 +992,7 @@ pub fn figt(profile: Profile, threads: &[usize]) -> (Vec<FigTRow>, String) {
                 ms(r.elapsed),
                 format!("{:.0}", r.qps),
                 format!("{}", r.plan_cache_hits),
-                format!("{}", r.analyses_run),
+                format!("{}", r.plan_cache_misses),
                 format!("{}", r.rejected),
             ]
         })
@@ -827,239 +1001,8 @@ pub fn figt(profile: Profile, threads: &[usize]) -> (Vec<FigTRow>, String) {
         "Figure T — query-service throughput vs concurrency (plan cache on/off)\n{}",
         render_table(
             &[
-                "dataset", "threads", "cache", "queries", "elapsed", "qps", "hits", "analyses",
+                "dataset", "threads", "cache", "queries", "elapsed", "qps", "hits", "misses",
                 "rejected",
-            ],
-            &rows
-        )
-    );
-    (out, report)
-}
-
-/// One query row of Figure A: the adaptive planner vs every forced arm.
-#[derive(Debug, Clone)]
-pub struct FigARow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Query name.
-    pub query: &'static str,
-    /// Engine the adaptive planner chose.
-    pub engine: &'static str,
-    /// Whether the adaptive planner kept path-summary pruning on.
-    pub pruned: bool,
-    /// The planner's predicted stream scan (elements).
-    pub predicted_scan: u64,
-    /// Stream elements actually delivered by the counted adaptive run
-    /// (zero when the `obs` feature is off).
-    pub actual_scan: u64,
-    /// The planner's predicted result rows (lower bound).
-    pub predicted_results: u64,
-    /// Actual result rows.
-    pub results: usize,
-    /// Whether the counted run tripped the misprediction alarm.
-    pub mispredicted: bool,
-    /// Per-execution wall time of the adaptive arm (best-of-3 over an
-    /// iteration loop).
-    pub time_adaptive: Duration,
-    /// Per-execution wall time of each forced arm, in
-    /// [`twigserve::PlanEngine::ALL`] order.
-    pub time_forced: [Duration; 4],
-    /// Name of the fastest forced arm.
-    pub best_forced: &'static str,
-    /// Its wall time.
-    pub time_best_forced: Duration,
-}
-
-/// Figure A (not in the paper): cost-based adaptive engine selection vs
-/// every forced arm, over the Figure 16 queries. Per query, five
-/// [`twigserve::QueryService`]s answer from the same index — one
-/// adaptive, four with a forced engine — and the experiment asserts:
-///
-/// 1. **soundness** — every arm's result rows are byte-identical (after
-///    document-order canonicalization);
-/// 2. **no regression** — the adaptive arm's per-execution wall time is
-///    within 1.1× of the *best* forced arm (plus a small absolute slack
-///    absorbing scheduler noise on microsecond-scale queries);
-/// 3. **the Fig S misprediction is gone** — on XMark-Q2, the one
-///    figure-16 query where pruning *hurts* (the feasibility filters
-///    pass ≥ 15/16 of every stream, so the pruned run pays overhead for
-///    nothing), the planner turns pruning off.
-///
-/// The prediction columns put the cost model's estimates next to the
-/// counted run's actuals — the same pairing the serve sidecar records as
-/// `plan_predicted_scan` vs `elements_scanned`.
-pub fn figa(profile: Profile) -> (Vec<FigARow>, String) {
-    use twigserve::{PlanEngine, PlannerMode, QueryService, ServiceConfig};
-
-    let iters: u32 = match profile {
-        Profile::Quick => 6,
-        Profile::Full | Profile::Scaled => 12,
-    };
-    let xmark_qs = if profile == Profile::Scaled {
-        // Same output-size guard as Figure S: anchor XMark-Q1 at the
-        // per-record element so the scaled profile's output stays linear.
-        let mut qs = xmark_queries();
-        let text = "//open_auction[.//bidder/personref]//reserve";
-        qs[0] = NamedQuery {
-            name: "XMark-Q1s",
-            text,
-            gtp: gtpquery::parse_twig(text).expect("scaled XMark-Q1 variant parses"),
-        };
-        qs
-    } else {
-        xmark_queries()
-    };
-    let sources: Vec<(Dataset, Vec<NamedQuery>)> = vec![
-        (dblp(profile), dblp_queries()),
-        (xmark(profile, 1), xmark_qs),
-        (treebank(profile), treebank_queries()),
-    ];
-    let mut out = Vec::new();
-    for (ds, queries) in &sources {
-        let svc_for = |mode: PlannerMode| {
-            QueryService::new(
-                ds.doc.clone(),
-                ds.index.clone(),
-                ServiceConfig {
-                    planner: mode,
-                    ..ServiceConfig::default()
-                },
-            )
-        };
-        let adaptive = svc_for(PlannerMode::Adaptive);
-        let forced: Vec<(PlanEngine, QueryService)> = PlanEngine::ALL
-            .into_iter()
-            .map(|e| (e, svc_for(PlannerMode::Forced(e))))
-            .collect();
-        for nq in queries {
-            // Warm every arm (plans cached before anything is timed) and
-            // assert all five result sets agree byte for byte.
-            let expected = adaptive
-                .execute(nq.text)
-                .expect("figA adaptive query must not fail")
-                .sorted();
-            for (engine, svc) in &forced {
-                let rs = svc
-                    .execute(nq.text)
-                    .expect("figA forced query must not fail")
-                    .sorted();
-                assert_eq!(
-                    rs,
-                    expected,
-                    "forced {} diverged from adaptive on {}/{}",
-                    engine.name(),
-                    ds.name,
-                    nq.name
-                );
-            }
-            let decision = adaptive.planned(nq.text).expect("plan is cached");
-            // One counted adaptive run: actual stream scan next to the
-            // prediction, and the misprediction alarm's verdict.
-            let before = adaptive.stats().plan_mispredictions;
-            let ambient = twigobs::take();
-            adaptive.execute(nq.text).expect("counted figA run");
-            let counted = twigobs::take();
-            twigobs::absorb(&ambient);
-            twigobs::absorb(&counted);
-            let mispredicted = adaptive.stats().plan_mispredictions > before;
-            // Wall time per arm: best-of-3 over an `iters`-iteration
-            // loop, amortizing timer and scheduler noise on
-            // microsecond-scale queries.
-            let time_arm = |svc: &QueryService| -> Duration {
-                let mut best = Duration::MAX;
-                for _ in 0..3 {
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        std::hint::black_box(svc.execute(nq.text).expect("timed figA run"));
-                    }
-                    best = best.min(t0.elapsed() / iters);
-                }
-                best
-            };
-            let time_adaptive = time_arm(&adaptive);
-            let mut time_forced = [Duration::ZERO; 4];
-            for (slot, (_, svc)) in time_forced.iter_mut().zip(&forced) {
-                *slot = time_arm(svc);
-            }
-            let (best_idx, &time_best_forced) = time_forced
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, t)| **t)
-                .expect("four forced arms");
-            assert!(
-                time_adaptive <= time_best_forced.mul_f64(1.1) + Duration::from_micros(60),
-                "adaptive arm regressed past 1.1x the best forced arm on {}/{}: \
-                 adaptive {:?} vs best forced {} {:?}",
-                ds.name,
-                nq.name,
-                time_adaptive,
-                PlanEngine::ALL[best_idx].name(),
-                time_best_forced
-            );
-            out.push(FigARow {
-                dataset: ds.name.clone(),
-                query: nq.name,
-                engine: decision.engine.name(),
-                pruned: decision.policy.is_enabled(),
-                predicted_scan: decision.predicted_scan,
-                actual_scan: counted.get(twigobs::Counter::ElementsScanned),
-                predicted_results: decision.predicted_results,
-                results: expected.len(),
-                mispredicted,
-                time_adaptive,
-                time_forced,
-                best_forced: PlanEngine::ALL[best_idx].name(),
-                time_best_forced,
-            });
-        }
-    }
-    // The Fig S pruning-hurts case: the whole point of per-query pruning
-    // decisions is that XMark-Q2 stops paying for filters that never
-    // prune.
-    let q2 = out
-        .iter()
-        .find(|r| r.query == "XMark-Q2")
-        .expect("XMark-Q2 is in the figure-16 set");
-    assert!(
-        !q2.pruned,
-        "the planner must turn pruning off for XMark-Q2 (its feasibility \
-         filters pass almost every stream element; see Fig S)"
-    );
-    let rows: Vec<Vec<String>> = out
-        .iter()
-        .map(|r| {
-            vec![
-                r.dataset.clone(),
-                r.query.to_string(),
-                r.engine.to_string(),
-                if r.pruned { "on" } else { "off" }.to_string(),
-                format!("{}", r.predicted_scan),
-                format!("{}", r.actual_scan),
-                format!("{}", r.predicted_results),
-                format!("{}", r.results),
-                if r.mispredicted { "MISS" } else { "ok" }.to_string(),
-                ms(r.time_adaptive),
-                ms(r.time_best_forced),
-                r.best_forced.to_string(),
-            ]
-        })
-        .collect();
-    let report = format!(
-        "Figure A — adaptive engine selection vs forced arms\n{}",
-        render_table(
-            &[
-                "dataset",
-                "query",
-                "engine",
-                "pruning",
-                "pred scan",
-                "scan",
-                "pred rows",
-                "rows",
-                "alarm",
-                "adaptive",
-                "best forced",
-                "arm",
             ],
             &rows
         )
@@ -2193,8 +2136,9 @@ mod tests {
 
     #[test]
     fn figs_pruning_equivalence_and_scan_reduction() {
-        let (rows, report) = figs(Profile::Quick);
+        let (rows, plans, report) = figs(Profile::Quick);
         assert_eq!(rows.len(), 27);
+        assert_eq!(plans.len(), 9, "one served plan per figure-16 query");
         assert!(report.contains("Figure S"));
         // figs() itself asserts pruned == full per cell; here check the
         // three algorithms also agree with each other per (dataset, query).
@@ -2290,7 +2234,7 @@ mod tests {
             assert!(!off.cache_on && on.cache_on);
             assert_eq!(off.queries_run, on.queries_run);
             assert_eq!(off.plan_cache_hits, 0, "disabled cache cannot hit");
-            assert!(on.analyses_run < off.analyses_run);
+            assert!(on.plan_cache_misses < off.plan_cache_misses);
             assert_eq!(off.rejected + on.rejected, 0);
         }
     }

@@ -22,8 +22,8 @@ pub mod sidecar;
 pub mod workload;
 
 pub use experiments::{
-    fig14, fig15, fig16, fig17, fig18, fig19, figa, fige, figm, figp, figs, figt, figu, figv,
-    subscription_queries, table1, Algo, FigARow, FigERow, FigMRow, FigSRow, FigTRow, FigURow,
+    fig14, fig15, fig16, fig17, fig18, fig19, fige, figm, figp, figs, figt, figu, figv,
+    subscription_queries, table1, Algo, FigERow, FigMRow, FigSPlanRow, FigSRow, FigTRow, FigURow,
     FigVRow,
 };
 pub use metrics::{run_tjfast, run_twig2stack, run_twigstack, QueryCost};

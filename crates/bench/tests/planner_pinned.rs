@@ -1,92 +1,65 @@
-//! Pinned planner decisions on the figure-16 workloads (DESIGN.md §14).
+//! Pinned pruning decisions on the figure-16 workloads (DESIGN.md §14).
 //!
-//! The adaptive planner's value proposition is concrete, measured calls:
-//! on XMark-Q2 every `person` element sits inside the query's region
-//! cover, so pruning scans the same 101 elements as the full streams and
-//! only adds skip-probe overhead — the planner must turn it off. On
-//! TreeBank-Q1 pruning skips ~80% of the candidate elements — the
-//! planner must keep it. These tests pin those two calls (plus the
-//! forced-mode default) so a cost-model change that flips either shows
-//! up as a test failure, not a silent perf regression in Fig A.
+//! The service's one planning decision is the pruning policy, taken from
+//! the path summary. Two calls are measured, not assumed: on XMark-Q2
+//! every `person` element sits inside the query's region cover, so
+//! pruning scans the same 101 elements as the full streams and only adds
+//! skip-probe overhead — the default service must plan it unpruned. On
+//! TreeBank-Q1 pruning skips ~80% of the candidate elements — the default
+//! service must keep it. These tests pin both calls so an estimate change
+//! that flips either shows up as a test failure, not a silent slowdown.
 
 use twigbench::workload::{treebank, treebank_queries, xmark, xmark_queries, Profile};
 use twigbench::Dataset;
-use twigserve::{PlanEngine, PlannerMode, QueryService, ServiceConfig};
+use twigserve::{QueryService, ServiceConfig};
 
-fn adaptive(ds: &Dataset) -> QueryService {
-    QueryService::new(
-        ds.doc.clone(),
-        ds.index.clone(),
-        ServiceConfig { planner: PlannerMode::Adaptive, ..ServiceConfig::default() },
-    )
+fn service(ds: &Dataset) -> QueryService {
+    QueryService::new(ds.doc.clone(), ds.index.clone(), ServiceConfig::default())
 }
 
 #[test]
-fn adaptive_disables_pruning_on_xmark_q2() {
+fn xmark_q2_plans_unpruned() {
     let ds = xmark(Profile::Quick, 1);
     let q = &xmark_queries()[1];
     assert_eq!(q.name, "XMark-Q2");
-
-    let svc = adaptive(&ds);
-    let d = svc.planned(q.text).expect("plan XMark-Q2");
-    assert!(d.adaptive, "service in Adaptive mode must produce adaptive decisions");
-    assert_eq!(d.engine, PlanEngine::Twig2Stack);
+    let policy = service(&ds).planned(q.text).expect("plan XMark-Q2");
     assert!(
-        !d.policy.is_enabled(),
-        "pruning hurts on XMark-Q2 (cover holds every person element); \
-         the planner must disable it, got {:?}",
-        d.policy
+        !policy.is_enabled(),
+        "pruning hurts on XMark-Q2 (the cover holds every person element); \
+         the summary rule must disable it, got {policy:?}"
     );
 }
 
 #[test]
-fn adaptive_keeps_pruning_on_treebank_q1() {
+fn treebank_q1_plans_pruned() {
     let ds = treebank(Profile::Quick);
     let q = &treebank_queries()[0];
     assert_eq!(q.name, "TreeBank-Q1");
-
-    let svc = adaptive(&ds);
-    let d = svc.planned(q.text).expect("plan TreeBank-Q1");
-    assert!(d.adaptive);
-    assert_eq!(d.engine, PlanEngine::Twig2Stack);
+    let policy = service(&ds).planned(q.text).expect("plan TreeBank-Q1");
     assert!(
-        d.policy.is_enabled(),
+        policy.is_enabled(),
         "pruning skips ~80% of TreeBank-Q1's candidate elements; \
-         the planner must keep it, got {:?}",
-        d.policy
+         the summary rule must keep it, got {policy:?}"
     );
-}
-
-#[test]
-fn forced_default_pins_twig2stack_with_config_pruning() {
-    // The default service (PlannerMode::Forced(Twig2Stack)) must not
-    // second-guess the configured pruning policy — pinned-behaviour
-    // tests across the repo rely on this.
-    let ds = xmark(Profile::Quick, 1);
-    let svc = QueryService::new(ds.doc.clone(), ds.index.clone(), ServiceConfig::default());
-    for q in xmark_queries() {
-        let d = svc.planned(q.text).expect("plan");
-        assert!(!d.adaptive, "{}: forced decisions are not adaptive", q.name);
-        assert_eq!(d.engine, PlanEngine::Twig2Stack, "{}", q.name);
-        assert!(d.policy.is_enabled(), "{}: forced mode keeps the config policy", q.name);
-    }
 }
 
 #[test]
 fn pinned_decisions_survive_cache_round_trips_and_match_execution() {
-    // planned() on a warm cache must return the same decision the cold
-    // planning pass produced, and executing afterwards must agree with
-    // the forced default service byte-for-byte.
+    // planned() on a warm cache must return the policy the cold planning
+    // pass chose, and executing afterwards must agree with the DOM
+    // evaluation byte for byte.
     let ds = treebank(Profile::Quick);
-    let svc = adaptive(&ds);
-    let oracle =
-        QueryService::new(ds.doc.clone(), ds.index.clone(), ServiceConfig::default());
+    let svc = service(&ds);
     for q in treebank_queries() {
         let cold = svc.planned(q.text).expect("cold plan");
         let warm = svc.planned(q.text).expect("warm plan");
         assert_eq!(cold, warm, "{}: cached decision drifted", q.name);
-        let got = svc.execute(q.text).expect("adaptive execute");
-        let want = oracle.execute(q.text).expect("forced execute");
-        assert_eq!(got, want, "{}: adaptive results differ from forced", q.name);
+        let got = svc.execute(q.text).expect("served execute");
+        let want = twig2stack::evaluate(&ds.doc, &q.gtp);
+        assert_eq!(
+            got, want,
+            "{}: served rows differ from the DOM evaluation",
+            q.name
+        );
     }
 }

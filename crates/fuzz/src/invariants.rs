@@ -1,4 +1,4 @@
-//! The twelve metamorphic invariants checked per (document, query) pair.
+//! The eleven metamorphic invariants checked per (document, query) pair.
 //!
 //! Each invariant encodes a correctness claim of the paper (references
 //! per variant below; the full table lives in DESIGN.md §8). An
@@ -50,17 +50,13 @@ pub enum Invariant {
     /// Path-summary pruned streams produce byte-identical results to the
     /// full scans, for every engine that has an indexed driver (the
     /// pruning soundness claim; feasible sets over-approximate match
-    /// projections).
+    /// projections) — and a default `QueryService`, whichever policy its
+    /// summary rule picks, answers the same rows.
     PrunedVsUnpruned,
     /// The zero-copy mapped (v3) index is indistinguishable from the
     /// heap index: byte-equal results, equal matcher work, and equal
     /// scan/skip counters, pruned and unpruned.
     MappedVsHeap,
-    /// The service's cost-based adaptive planner returns the same rows
-    /// as every forced-engine arm (inapplicable engines fall back to
-    /// Twig²Stack) — the planner re-routes queries, it never changes
-    /// their answers.
-    AdaptiveVsForced,
     /// Incremental index maintenance is invisible: chaining
     /// `ElementIndex::apply_edit` across a derived random edit script
     /// yields, at every step, an index structurally identical to one
@@ -86,7 +82,7 @@ pub enum Invariant {
 
 impl Invariant {
     /// Every invariant, in report order.
-    pub const ALL: [Invariant; 12] = [
+    pub const ALL: [Invariant; 11] = [
         Invariant::CrossEngine,
         Invariant::CountConsistency,
         Invariant::ExistenceConsistency,
@@ -95,7 +91,6 @@ impl Invariant {
         Invariant::PredicateWeakening,
         Invariant::PrunedVsUnpruned,
         Invariant::MappedVsHeap,
-        Invariant::AdaptiveVsForced,
         Invariant::EditedVsRebuilt,
         Invariant::CatalogVsSerial,
         Invariant::SubscribedVsSolo,
@@ -113,7 +108,6 @@ impl Invariant {
             Invariant::PredicateWeakening => "predicate_weakening",
             Invariant::PrunedVsUnpruned => "pruned_vs_unpruned",
             Invariant::MappedVsHeap => "mapped_vs_heap",
-            Invariant::AdaptiveVsForced => "adaptive_vs_forced",
             Invariant::EditedVsRebuilt => "edited_vs_rebuilt",
             Invariant::CatalogVsSerial => "catalog_vs_serial",
             Invariant::SubscribedVsSolo => "subscribed_vs_solo",
@@ -184,7 +178,6 @@ pub fn check(doc: &Document, gtp: &Gtp, inv: Invariant) -> Outcome {
         Invariant::PredicateWeakening => predicate_weakening(doc, gtp, &analysis),
         Invariant::PrunedVsUnpruned => pruned_vs_unpruned(doc, gtp),
         Invariant::MappedVsHeap => mapped_vs_heap(doc, gtp),
-        Invariant::AdaptiveVsForced => adaptive_vs_forced(doc, gtp),
         Invariant::EditedVsRebuilt => check_script(doc, gtp, &derive_script(doc, gtp)),
         Invariant::CatalogVsSerial => catalog_vs_serial(doc, gtp),
         Invariant::SubscribedVsSolo => subscribed_vs_solo(doc, gtp),
@@ -431,13 +424,18 @@ fn predicate_weakening(doc: &Document, gtp: &Gtp, analysis: &QueryAnalysis) -> O
 /// must equal the full-scan pipelines exactly — on the core engine for
 /// every GTP shape, and on each classic baseline's indexed driver for the
 /// shapes it accepts (sorted there: row order is not part of their
-/// contracts).
+/// contracts). A default [`twigserve::QueryService`] over the same index
+/// must return the same rows too, whichever policy the summary rule
+/// ([`gtpquery::cost::pruning_policy`]) picked for its plan.
 fn pruned_vs_unpruned(doc: &Document, gtp: &Gtp) -> Outcome {
     let expected = evaluate(doc, gtp);
     if expected.len() > MAX_ROWS {
         return Outcome::Skipped("result set too large for the smoke budget");
     }
     let index = ElementIndex::build(doc);
+    if let Some(failed) = service_matches_oracle(doc, &index, gtp) {
+        return failed;
+    }
     let pruned = evaluate_indexed(doc, &index, gtp, PruningPolicy::Enabled);
     if pruned != expected {
         return diff("twig2stack(pruned)", &pruned, &expected);
@@ -580,77 +578,33 @@ fn mapped_vs_heap(doc: &Document, gtp: &Gtp) -> Outcome {
     }
 }
 
-/// Planner soundness end to end: the same query answered through a
-/// [`twigserve::QueryService`] in adaptive mode and in every forced-arm
-/// mode must produce the same rows (sorted — the baseline engines'
-/// document-order canonicalization is part of the service contract).
-/// This also exercises the forced-mode fallback: a GTP-extension query
-/// forced onto a decomposition baseline must still be answered (by
-/// Twig²Stack), never rejected or miscomputed.
-fn adaptive_vs_forced(doc: &Document, gtp: &Gtp) -> Outcome {
-    use twigserve::{PlanEngine, PlannerMode, QueryService, ServiceConfig};
+/// The service arm of [`pruned_vs_unpruned`]: answer `gtp` through a
+/// default [`twigserve::QueryService`] and compare with the DOM oracle.
+/// `None` means the service agreed.
+///
+/// The service takes query *text*; the canonical serialization
+/// round-trips every generated GTP, but re-parsing renumbers query nodes
+/// (and with them the result schema), so the oracle must evaluate the
+/// round-tripped form, not the original.
+fn service_matches_oracle(doc: &Document, index: &ElementIndex, gtp: &Gtp) -> Option<Outcome> {
+    use twigserve::{QueryService, ServiceConfig};
 
-    // The service takes query *text*; the canonical serialization
-    // round-trips every generated GTP, but re-parsing renumbers query
-    // nodes (and with them the result schema), so the oracle must
-    // evaluate the round-tripped form, not the original.
     let query = gtpquery::serialize(gtp);
     let canonical = match gtpquery::parse_twig(&query) {
         Ok(g) => g,
         Err(e) => {
-            return Outcome::Failed(format!(
+            return Some(Outcome::Failed(format!(
                 "canonical serialization failed to re-parse ({query}): {e}"
-            ))
+            )))
         }
     };
     let expected = evaluate(doc, &canonical);
-    if expected.len() > MAX_ROWS {
-        return Outcome::Skipped("result set too large for the smoke budget");
+    let svc = QueryService::new(doc.clone(), index.clone(), ServiceConfig::default());
+    match svc.execute(&query) {
+        Ok(got) if got == expected => None,
+        Ok(got) => Some(diff("service", &got, &expected)),
+        Err(e) => Some(Outcome::Failed(format!("service failed: {e}"))),
     }
-    let expected = expected.sorted();
-    let index = ElementIndex::build(doc);
-    let modes = [
-        ("adaptive", PlannerMode::Adaptive),
-        (
-            "forced(twig2stack)",
-            PlannerMode::Forced(PlanEngine::Twig2Stack),
-        ),
-        (
-            "forced(twigstack)",
-            PlannerMode::Forced(PlanEngine::TwigStack),
-        ),
-        (
-            "forced(pathstack)",
-            PlannerMode::Forced(PlanEngine::PathStack),
-        ),
-        ("forced(tjfast)", PlannerMode::Forced(PlanEngine::TJFast)),
-    ];
-    for (label, mode) in modes {
-        let svc = QueryService::new(
-            doc.clone(),
-            index.clone(),
-            ServiceConfig {
-                planner: mode,
-                ..ServiceConfig::default()
-            },
-        );
-        match svc.execute(&query) {
-            Ok(rs) => {
-                let got = rs.sorted();
-                if got != expected {
-                    return Outcome::Failed(format!(
-                        "service({label}) differs from oracle: {} vs {} rows",
-                        got.len(),
-                        expected.len()
-                    ));
-                }
-            }
-            Err(e) => {
-                return Outcome::Failed(format!("service({label}) failed: {e}"));
-            }
-        }
-    }
-    Outcome::Passed
 }
 
 /// Derive a three-member catalog from the fuzzed pair — the document
@@ -680,7 +634,7 @@ pub fn check_catalog(members: &[Document], gtp: &Gtp) -> Outcome {
     if members.is_empty() {
         return Outcome::Skipped("empty catalog");
     }
-    // Same round-trip caveat as `adaptive_vs_forced`: the catalog takes
+    // Same round-trip caveat as `service_matches_oracle`: the catalog takes
     // query *text*, and re-parsing the canonical serialization renumbers
     // query nodes, so the oracle must evaluate the round-tripped form.
     let query = gtpquery::serialize(gtp);

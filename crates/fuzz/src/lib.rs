@@ -14,10 +14,11 @@
 //!   (document, query) pair: cross-engine agreement, count/enumerate
 //!   consistency, existence consistency, early-vs-full equality,
 //!   serial-vs-parallel equality, predicate-weakening monotonicity,
-//!   pruned-vs-unpruned and mapped-vs-heap equivalence,
-//!   adaptive-vs-forced planning, edited-vs-rebuilt index maintenance,
-//!   and catalog-vs-serial scatter-gather equivalence. See DESIGN.md §8
-//!   for the mapping to paper sections.
+//!   pruned-vs-unpruned (the served plan included) and mapped-vs-heap
+//!   equivalence, edited-vs-rebuilt index maintenance,
+//!   catalog-vs-serial scatter-gather equivalence, and
+//!   subscribed-vs-solo automaton sharing. See DESIGN.md §8 for the
+//!   mapping to paper sections.
 //! * [`edits`] — seeded random edit scripts (insert/delete/replace
 //!   subtrees, including root deletion and empty-document revival) that
 //!   drive the `edited_vs_rebuilt` invariant and ride in the `edits =`

@@ -69,10 +69,9 @@ pub const ENABLED: bool = cfg!(feature = "enabled");
 ///
 /// ```
 /// use twigobs::Counter;
-/// assert_eq!(Counter::ALL.len(), 38);
+/// assert_eq!(Counter::ALL.len(), 31);
 /// assert_eq!(Counter::EdgesCreated.name(), "edges_created");
 /// assert_eq!(Counter::PlanCacheHits.name(), "plan_cache_hits");
-/// assert_eq!(Counter::PlanMispredictions.name(), "plan_mispredictions");
 /// assert_eq!(Counter::EditsApplied.name(), "edits_applied");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,25 +119,6 @@ pub enum Counter {
     QueriesRejected,
     /// Admitted queries aborted because their deadline expired mid-scan.
     DeadlineExceeded,
-    /// Plans the service's planner pointed at the Twig²Stack engine
-    /// (bumped once per planning event, i.e. per plan-cache miss).
-    PlanChoicesTwig2Stack,
-    /// Plans pointed at the TwigStack baseline engine.
-    PlanChoicesTwigStack,
-    /// Plans pointed at the PathStack baseline engine.
-    PlanChoicesPathStack,
-    /// Plans pointed at the TJFast baseline engine.
-    PlanChoicesTJFast,
-    /// Adaptive executions whose actual scan or output count landed
-    /// outside the planner's tolerance window (DESIGN.md §14) — nonzero
-    /// means the cost model mis-estimated, visibly.
-    PlanMispredictions,
-    /// Sum of the planner's *predicted* elements-to-scan over adaptive
-    /// executions — compare with `elements_scanned` in the same sidecar.
-    PlanPredictedScan,
-    /// Sum of the planner's *predicted* result rows over adaptive
-    /// executions — compare with `results_enumerated`.
-    PlanPredictedResults,
     /// Document edit operations (insert/delete/replace subtree) applied
     /// successfully by `xmldom::edit::apply_op`.
     EditsApplied,
@@ -186,7 +166,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 31] = [
         Counter::ElementsScanned,
         Counter::StackPushes,
         Counter::Merges,
@@ -206,13 +186,6 @@ impl Counter {
         Counter::QueriesAdmitted,
         Counter::QueriesRejected,
         Counter::DeadlineExceeded,
-        Counter::PlanChoicesTwig2Stack,
-        Counter::PlanChoicesTwigStack,
-        Counter::PlanChoicesPathStack,
-        Counter::PlanChoicesTJFast,
-        Counter::PlanMispredictions,
-        Counter::PlanPredictedScan,
-        Counter::PlanPredictedResults,
         Counter::EditsApplied,
         Counter::SnapshotRotations,
         Counter::RenumberEvents,
@@ -250,13 +223,6 @@ impl Counter {
             Counter::QueriesAdmitted => "queries_admitted",
             Counter::QueriesRejected => "queries_rejected",
             Counter::DeadlineExceeded => "deadline_exceeded",
-            Counter::PlanChoicesTwig2Stack => "plan_choices_twig2stack",
-            Counter::PlanChoicesTwigStack => "plan_choices_twigstack",
-            Counter::PlanChoicesPathStack => "plan_choices_pathstack",
-            Counter::PlanChoicesTJFast => "plan_choices_tjfast",
-            Counter::PlanMispredictions => "plan_mispredictions",
-            Counter::PlanPredictedScan => "plan_predicted_scan",
-            Counter::PlanPredictedResults => "plan_predicted_results",
             Counter::EditsApplied => "edits_applied",
             Counter::SnapshotRotations => "snapshot_rotations",
             Counter::RenumberEvents => "renumber_events",
@@ -294,25 +260,18 @@ impl Counter {
             Counter::QueriesAdmitted => 16,
             Counter::QueriesRejected => 17,
             Counter::DeadlineExceeded => 18,
-            Counter::PlanChoicesTwig2Stack => 19,
-            Counter::PlanChoicesTwigStack => 20,
-            Counter::PlanChoicesPathStack => 21,
-            Counter::PlanChoicesTJFast => 22,
-            Counter::PlanMispredictions => 23,
-            Counter::PlanPredictedScan => 24,
-            Counter::PlanPredictedResults => 25,
-            Counter::EditsApplied => 26,
-            Counter::SnapshotRotations => 27,
-            Counter::RenumberEvents => 28,
-            Counter::EditElementsReindexed => 29,
-            Counter::PlanCacheInvalidations => 30,
-            Counter::CatalogDocsRouted => 31,
-            Counter::CatalogDocsSkipped => 32,
-            Counter::ShardQueries => 33,
-            Counter::CatalogBatches => 34,
-            Counter::SubEvents => 35,
-            Counter::SubMatcherFeeds => 36,
-            Counter::SubNotifications => 37,
+            Counter::EditsApplied => 19,
+            Counter::SnapshotRotations => 20,
+            Counter::RenumberEvents => 21,
+            Counter::EditElementsReindexed => 22,
+            Counter::PlanCacheInvalidations => 23,
+            Counter::CatalogDocsRouted => 24,
+            Counter::CatalogDocsSkipped => 25,
+            Counter::ShardQueries => 26,
+            Counter::CatalogBatches => 27,
+            Counter::SubEvents => 28,
+            Counter::SubMatcherFeeds => 29,
+            Counter::SubNotifications => 30,
         }
     }
 }
@@ -447,7 +406,7 @@ impl Gauge {
 /// assert_eq!(a.get(Counter::Merges), 0);
 /// assert_eq!(a.span_total(Phase::Match).as_nanos(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     counters: [u64; Counter::ALL.len()],
     span_nanos: [u64; Phase::ALL.len()],
@@ -455,18 +414,6 @@ pub struct Metrics {
     gauges: [u64; Gauge::ALL.len()],
 }
 
-// Hand-written because `Default` is not derivable for arrays longer than
-// 32 elements and `Counter::ALL` has outgrown that.
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            counters: [0; Counter::ALL.len()],
-            span_nanos: [0; Phase::ALL.len()],
-            span_entries: [0; Phase::ALL.len()],
-            gauges: [0; Gauge::ALL.len()],
-        }
-    }
-}
 
 impl Metrics {
     /// Current value of counter `c`.

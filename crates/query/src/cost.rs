@@ -1,86 +1,28 @@
-//! Path-summary cost model — the estimation half of the adaptive planner.
+//! Path-summary pruning estimate — the one planning decision the
+//! serving layer makes.
 //!
-//! The serving layer (`twigserve`) must pick, per cached plan, an engine
-//! (Twig²Stack / TwigStack / PathStack / TJFast), a
-//! [`PruningPolicy`](xmlindex::PruningPolicy)
-//! analog (prune or not), and full-vs-early enumeration. Everything it
-//! needs to decide is already in the index's path summary (strong
+//! Every plan the services build runs Twig²Stack over indexed streams;
+//! what remains to decide per plan is the
+//! [`PruningPolicy`]: filter the streams by summary feasibility and
+//! gallop past regions outside the root cover, or scan them whole.
+//! Everything the decision needs is in the index's path summary (strong
 //! DataGuide): per-sid element counts, per-sid region hulls, and the
 //! [`SummaryFeasibility`] sets the pruned streams are built from. This
 //! module turns those statistics into a [`QueryEstimate`] — predicted
-//! stream sizes, skip-scan savings, and output selectivities — plus a
-//! [`Recommendation`] derived from the decision table in DESIGN.md §14.
-//!
-//! The estimates are *predictions*, recorded by the service next to the
-//! actual counters (`plan_predicted_scan` vs `elements_scanned`) so
-//! mispredictions are visible in the metrics sidecar rather than silently
-//! mis-planning forever.
+//! full and pruned stream sizes — and [`pruning_policy`] applies the
+//! rule (DESIGN.md §14).
 //!
 //! Everything here reads only the summary — never the element postings —
 //! so estimating costs `O(summary nodes)`, the same order as the
 //! feasibility analysis the plan cache already amortizes.
 
 use crate::analysis::SummaryFeasibility;
-use crate::gtp::{Gtp, Role};
+use crate::gtp::Gtp;
 use crate::LabelDispatch;
 use xmldom::{Label, LabelTable};
-use xmlindex::{filter_worthwhile, SummaryRef, SummarySet};
+use xmlindex::{filter_worthwhile, PruningPolicy, SummaryRef, SummarySet};
 
-/// The engines the planner can select among. `twigserve` executes all
-/// four; the baselines are restricted to full-twig (and for
-/// [`PlanEngine::PathStack`], linear) queries — see [`is_full_twig`] /
-/// [`is_linear`] — and the planner never recommends an engine outside its
-/// applicability gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanEngine {
-    /// The paper's bottom-up hierarchical-stack engine: handles every GTP
-    /// (optional edges, OR-groups, non-return nodes, value predicates).
-    Twig2Stack,
-    /// Holistic path decomposition + merge join (Bruno et al.).
-    TwigStack,
-    /// Single-chain streaming joins — linear queries only.
-    PathStack,
-    /// Leaf-streams-only matching over extended Dewey labels (Lu et al.).
-    TJFast,
-}
-
-impl PlanEngine {
-    /// Every engine, in report order.
-    pub const ALL: [PlanEngine; 4] = [
-        PlanEngine::Twig2Stack,
-        PlanEngine::TwigStack,
-        PlanEngine::PathStack,
-        PlanEngine::TJFast,
-    ];
-
-    /// Stable snake_case name (used in reports and counter names).
-    pub fn name(self) -> &'static str {
-        match self {
-            PlanEngine::Twig2Stack => "twig2stack",
-            PlanEngine::TwigStack => "twigstack",
-            PlanEngine::PathStack => "pathstack",
-            PlanEngine::TJFast => "tjfast",
-        }
-    }
-}
-
-/// True iff `gtp` is a *full twig*: every node is returned, no edge is
-/// optional, and there are no OR-groups or value predicates — the
-/// fragment the decomposition baselines (TwigStack, TJFast) implement.
-pub fn is_full_twig(gtp: &Gtp) -> bool {
-    gtp.iter()
-        .all(|q| gtp.role(q) == Role::Return && gtp.edge(q).is_none_or(|e| !e.optional))
-        && !gtp.has_or_groups()
-        && !gtp.has_value_preds()
-}
-
-/// True iff `gtp` is a single root-to-leaf chain (PathStack's fragment,
-/// together with [`is_full_twig`]).
-pub fn is_linear(gtp: &Gtp) -> bool {
-    gtp.iter().all(|q| gtp.children(q).len() <= 1)
-}
-
-/// Per-query cost estimates derived from the path summary. All element
+/// Per-query stream-size estimates derived from the path summary. Both
 /// counts are exact *summary* aggregations of over-approximate feasible
 /// sets: `scan_pruned ≤ scan_full` always, and both bound what a pruned /
 /// full stream scan would actually deliver from above.
@@ -94,34 +36,16 @@ pub struct QueryEstimate {
     pub scan_full: u64,
     /// Elements a pruned scan is estimated to deliver, honoring the
     /// same `filter_worthwhile` drop the real stream plan applies and
-    /// scaling filterless labels by the root-cover fraction (the
-    /// skip-scan savings estimate).
+    /// counting filterless labels by the summary hulls the root cover
+    /// intersects (the skip-scan savings estimate).
     pub scan_pruned: u64,
-    /// Elements the **leaf** query nodes' feasible sets cover — the only
-    /// streams TJFast reads (its records are fatter; see
-    /// [`QueryEstimate::tjfast_cost`]).
-    pub leaf_scan: u64,
-    /// Fraction (0..=1, in 1/1024 units to stay integer) of the document
-    /// region span covered by candidate-root hulls; `skip_to` gallops
-    /// past the rest.
-    pub cover_permille: u32,
-    /// Lower-bound output estimate: the most selective returned node's
-    /// feasible element count (every result row projects one element
-    /// from it).
-    pub expected_results: u64,
-    /// Labels the plan scans.
-    pub labels_scanned: u32,
-    /// Labels whose summary filter survives `filter_worthwhile` (the
-    /// rest are scanned filter-free — the XMark-Q2 lesson).
-    pub filters_kept: u32,
 }
 
 impl QueryEstimate {
-    /// Estimate `gtp`'s stream and output cardinalities against the path
+    /// Estimate `gtp`'s full and pruned stream sizes against the path
     /// summary. Runs one [`SummaryFeasibility`] analysis — the same
-    /// `O(query × summary)` pass `IndexedPlan::compute` runs, so a
-    /// planner that calls both per plan doubles a cost the plan cache
-    /// already amortizes to once per canonical query.
+    /// `O(query × summary)` pass `IndexedPlan::compute` runs once per
+    /// plan-cache miss.
     pub fn compute(gtp: &Gtp, summary: SummaryRef<'_>, labels: &LabelTable) -> QueryEstimate {
         let dispatch = LabelDispatch::compile(gtp, labels);
         let feas = SummaryFeasibility::compute(gtp, summary, labels);
@@ -130,11 +54,6 @@ impl QueryEstimate {
                 unsatisfiable: true,
                 scan_full: 0,
                 scan_pruned: 0,
-                leaf_scan: 0,
-                cover_permille: 0,
-                expected_results: 0,
-                labels_scanned: 0,
-                filters_kept: 0,
             };
         }
 
@@ -145,32 +64,14 @@ impl QueryEstimate {
             label_counts[node.label.index()] += u64::from(node.count);
         }
 
-        // Root-cover fraction of the document's region span.
         let cover = feas.root_cover(gtp, summary);
-        let doc_span = summary
-            .nodes()
-            .iter()
-            .map(|n| u64::from(n.max_right))
-            .max()
-            .unwrap_or(0)
-            + 1;
-        let covered_span: u64 = cover
-            .spans()
-            .iter()
-            .map(|&(l, r)| u64::from(r) - u64::from(l) + 1)
-            .sum();
-        let cover_permille = ((covered_span.min(doc_span) * 1024) / doc_span.max(1)) as u32;
-
         let mut scan_full = 0u64;
         let mut scan_pruned = 0u64;
-        let mut labels_scanned = 0u32;
-        let mut filters_kept = 0u32;
         for (i, &full) in label_counts.iter().enumerate() {
             let l = Label::from_index(i);
             if dispatch.query_nodes(l).is_empty() {
                 continue;
             }
-            labels_scanned += 1;
             scan_full += full;
             // Mirror the stream plan: the filter is the union of the
             // dispatched nodes' feasible sets, dropped when it admits
@@ -181,7 +82,6 @@ impl QueryEstimate {
             }
             let covered = set.element_count(summary);
             if filter_worthwhile(covered, full) {
-                filters_kept += 1;
                 scan_pruned += covered;
             } else {
                 // No per-element filter, but `skip_to` still gallops past
@@ -198,116 +98,40 @@ impl QueryEstimate {
                     .iter()
                     .filter(|n| n.label == l)
                     .filter(|n| {
-                        cover.spans().iter().any(|&(cl, cr)| {
-                            cl <= n.max_right && n.min_left <= cr
-                        })
+                        cover
+                            .spans()
+                            .iter()
+                            .any(|&(cl, cr)| cl <= n.max_right && n.min_left <= cr)
                     })
                     .map(|n| u64::from(n.count))
                     .sum::<u64>();
             }
         }
-
-        // Leaf streams (TJFast reads nothing else).
-        let leaf_scan = gtp
-            .iter()
-            .filter(|&q| gtp.is_leaf(q))
-            .map(|q| feas.feasible(q).element_count(summary))
-            .sum();
-
-        // The most selective returned node bounds the distinct elements
-        // any output column can hold.
-        let expected_results = gtp
-            .iter()
-            .filter(|&q| gtp.role(q).is_output())
-            .map(|q| feas.feasible(q).element_count(summary))
-            .min()
-            .unwrap_or(0);
-
         QueryEstimate {
             unsatisfiable: false,
             scan_full,
             scan_pruned,
-            leaf_scan,
-            cover_permille,
-            expected_results,
-            labels_scanned,
-            filters_kept,
         }
-    }
-
-    /// Estimated elements saved by pruning (`scan_full − scan_pruned`).
-    pub fn pruning_savings(&self) -> u64 {
-        self.scan_full.saturating_sub(self.scan_pruned)
-    }
-
-    /// Decision-table predicate: is pruning worth its overhead? The
-    /// feasibility sets are computed either way (the plan cache holds
-    /// them), so the *runtime* overhead is the per-element sid probe and
-    /// the cover gallop bookkeeping — worth paying only when at least
-    /// 1/8 of the full scan goes away (XMark-Q2 saves ~0, TreeBank saves
-    /// up to 93%; see EXPERIMENTS.md Fig S / Fig A).
-    pub fn pruning_pays(&self) -> bool {
-        self.unsatisfiable || self.pruning_savings() * 8 >= self.scan_full
-    }
-
-    /// TJFast's comparable scan cost: leaf elements only, but each record
-    /// carries its full extended Dewey path, and every delivered element
-    /// pays a transducer decode plus resolver lookups per ancestor. Fig A
-    /// measured the per-element ratio against a region-stream scan at
-    /// ~19× on TreeBank-Q1; weight 16× so the leaf-only scan must be an
-    /// order of magnitude smaller before TJFast looks competitive.
-    pub fn tjfast_cost(&self) -> u64 {
-        self.leaf_scan.saturating_mul(16)
-    }
-
-    /// The region-engine scan cost under the recommended policy.
-    pub fn region_cost(&self) -> u64 {
-        if self.pruning_pays() {
-            self.scan_pruned
-        } else {
-            self.scan_full
-        }
-    }
-
-    /// Apply the DESIGN.md §14 decision table to this estimate.
-    pub fn recommend(&self, gtp: &Gtp) -> Recommendation {
-        let pruning = self.pruning_pays();
-        let full_twig = is_full_twig(gtp);
-        // Twig²Stack is the default: it matches every GTP, never
-        // enumerates unmerged path solutions, and wins or ties on every
-        // figure-16 query (Fig 16 / Table 1). A decomposition baseline is
-        // chosen only inside its fragment *and* with a decisive predicted
-        // advantage, so estimate noise cannot select a slower engine.
-        let mut engine = PlanEngine::Twig2Stack;
-        if full_twig {
-            // TJFast reads only leaf streams: when internal streams
-            // dominate the scan (deep chains over selective leaves), the
-            // leaf-only scan wins despite its ~16× per-record cost.
-            if self.tjfast_cost() * 2 < self.region_cost() {
-                engine = PlanEngine::TJFast;
-            }
-        }
-        // Early enumeration trades the result encoding's memory for
-        // document-order streaming output; it pays only when the encoded
-        // result set dwarfs the document scan (bounded-memory serving),
-        // not on wall-clock — see DESIGN.md §14.
-        let early = engine == PlanEngine::Twig2Stack
-            && self.expected_results > (1 << 20)
-            && self.expected_results > self.scan_full;
-        Recommendation { engine, pruning, early }
     }
 }
 
-/// The planner's chosen knobs for one query (see DESIGN.md §14 for the
-/// decision table that produces it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Recommendation {
-    /// Engine to evaluate with.
-    pub engine: PlanEngine,
-    /// Whether summary pruning pays for this query.
-    pub pruning: bool,
-    /// Whether to enumerate early (bounded-memory streaming output).
-    pub early: bool,
+/// The pruning rule: prune when the summary predicts pruning saves at
+/// least 1/8 of the full scan (or proves the query unsatisfiable, which
+/// short-circuits every stream). The feasibility sets are computed either
+/// way, so the *runtime* overhead pruning must earn back is the
+/// per-element sid probe and the cover gallop bookkeeping — on XMark-Q2
+/// it saves ~0 and costs ~20%, on TreeBank it saves up to 93% (see
+/// EXPERIMENTS.md Fig S).
+///
+/// Both services call this once per plan: `QueryService` per plan-cache
+/// miss, `CatalogService` once per (query, schema).
+pub fn pruning_policy(gtp: &Gtp, summary: SummaryRef<'_>, labels: &LabelTable) -> PruningPolicy {
+    let est = QueryEstimate::compute(gtp, summary, labels);
+    if est.unsatisfiable || est.scan_full.saturating_sub(est.scan_pruned) * 8 >= est.scan_full {
+        PruningPolicy::Enabled
+    } else {
+        PruningPolicy::Disabled
+    }
 }
 
 #[cfg(test)]
@@ -330,7 +154,6 @@ mod tests {
         assert!(!est.unsatisfiable);
         // Labels scanned: a (1 element) + b (3 elements).
         assert_eq!(est.scan_full, 4);
-        assert_eq!(est.labels_scanned, 2);
     }
 
     #[test]
@@ -340,50 +163,41 @@ mod tests {
         let (doc, summary) = setup("<a><b><c/></b><b/><d><b/></d></a>");
         let gtp = parse_twig("/a/b").unwrap();
         let est = QueryEstimate::compute(&gtp, summary.view(), doc.labels());
-        assert!(est.scan_pruned <= est.scan_full);
-        assert!(est.pruning_savings() >= 1, "the d/b posting is prunable");
+        assert!(
+            est.scan_pruned < est.scan_full,
+            "the d/b posting is prunable"
+        );
+        assert_eq!(
+            pruning_policy(&gtp, summary.view(), doc.labels()),
+            PruningPolicy::Enabled
+        );
     }
 
     #[test]
-    fn unsatisfiable_queries_estimate_zero() {
+    fn unsatisfiable_queries_estimate_zero_and_prune() {
         let (doc, summary) = setup("<a><b/></a>");
         let gtp = parse_twig("//a/z").unwrap();
         let est = QueryEstimate::compute(&gtp, summary.view(), doc.labels());
         assert!(est.unsatisfiable);
         assert_eq!(est.scan_full, 0);
-        assert_eq!(est.expected_results, 0);
-        assert!(est.pruning_pays(), "short-circuiting is free and total");
+        assert_eq!(
+            pruning_policy(&gtp, summary.view(), doc.labels()),
+            PruningPolicy::Enabled,
+            "short-circuiting is free and total"
+        );
     }
 
     #[test]
-    fn expected_results_is_the_most_selective_output_count() {
-        let (doc, summary) = setup("<a><b/><b/><b/><c/></a>");
-        let gtp = parse_twig("//a[b]/c").unwrap();
+    fn pruning_that_saves_nothing_is_disabled() {
+        // Every b sits under the only a: the filters pass every posting
+        // and the cover spans the whole document.
+        let (doc, summary) = setup("<a><b/><b/><b/></a>");
+        let gtp = parse_twig("//a/b").unwrap();
         let est = QueryEstimate::compute(&gtp, summary.view(), doc.labels());
-        // Every node is returned (brackets don't demote roles in this
-        // parser); the most selective is a or c at 1 element each.
-        assert_eq!(est.expected_results, 1);
-    }
-
-    #[test]
-    fn shape_gates_match_the_fuzzer_definitions() {
-        let full = parse_twig("//a[b]/c").unwrap();
-        assert!(is_full_twig(&full));
-        assert!(!is_linear(&full), "a has two children");
-        let linear = parse_twig("//a/b/c").unwrap();
-        assert!(is_full_twig(&linear));
-        assert!(is_linear(&linear));
-        let gtp_ext = parse_twig("//a/b!/c").unwrap();
-        assert!(!is_full_twig(&gtp_ext));
-    }
-
-    #[test]
-    fn recommendation_defaults_to_twig2stack() {
-        let (doc, summary) = setup("<a><b><c/></b></a>");
-        let gtp = parse_twig("//a/b[c]").unwrap();
-        let est = QueryEstimate::compute(&gtp, summary.view(), doc.labels());
-        let rec = est.recommend(&gtp);
-        assert_eq!(rec.engine, PlanEngine::Twig2Stack);
-        assert!(!rec.early, "tiny results never trigger early enumeration");
+        assert_eq!(est.scan_pruned, est.scan_full);
+        assert_eq!(
+            pruning_policy(&gtp, summary.view(), doc.labels()),
+            PruningPolicy::Disabled
+        );
     }
 }

@@ -12,9 +12,9 @@
 //!   top branch node (paper §4.4), output schema, validation, the
 //!   label-indexed dispatch table every matcher uses, and path-summary
 //!   feasibility (the pruned-stream planner);
-//! * [`cost`] — the adaptive planner's cost model: stream-size,
-//!   skip-scan, and selectivity estimates from the path summary, plus
-//!   the engine/policy decision table (DESIGN.md §14);
+//! * [`cost`] — the pruning estimate: full vs pruned stream sizes from
+//!   the path summary, and the rule that picks each plan's pruning
+//!   policy (DESIGN.md §14);
 //! * [`exec`] — typed evaluation errors and cooperative cancellation for
 //!   the fallible drivers (disk streams, serving deadlines).
 #![forbid(unsafe_code)]
@@ -32,7 +32,7 @@ pub mod xquery;
 pub use analysis::{
     LabelDispatch, ParallelFallback, QueryAnalysis, SummaryFeasibility, ValidationIssue,
 };
-pub use cost::{is_full_twig, is_linear, PlanEngine, QueryEstimate, Recommendation};
+pub use cost::{pruning_policy, QueryEstimate};
 pub use exec::{CancelToken, QueryError};
 pub use gtp::{Axis, Edge, Gtp, GtpBuilder, NodeTest, QNodeId, Role, ValuePred};
 pub use parse::{parse_twig, QueryParseError};

@@ -59,6 +59,10 @@ pub fn parse_twig(input: &str) -> Result<Gtp, QueryParseError> {
     Parser { input: input.as_bytes(), pos: 0 }.parse()
 }
 
+/// Deepest predicate nesting the parser accepts (`//a[b[c]]` is 2 deep);
+/// deeper input is a [`QueryParseError`], never a stack overflow.
+const MAX_PRED_DEPTH: usize = 256;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
@@ -111,7 +115,7 @@ impl<'a> Parser<'a> {
         if let Some(role) = marker {
             builder.role(root, role);
         }
-        self.parse_preds(&mut builder, root)?;
+        self.parse_preds(&mut builder, root, 0)?;
         self.parse_tail(&mut builder, root, 0)?;
         self.skip_ws();
         if self.pos != self.input.len() {
@@ -120,16 +124,14 @@ impl<'a> Parser<'a> {
         Ok(builder.build())
     }
 
-    /// Parse `( edge step )*` continuing from `node`.
+    /// Parse `( edge step )*` continuing from `node`, `depth` predicates
+    /// deep.
     fn parse_tail(
         &mut self,
         builder: &mut GtpBuilder,
         mut node: QNodeId,
         depth: usize,
     ) -> Result<(), QueryParseError> {
-        if depth > 256 {
-            return Err(self.err("query nesting too deep"));
-        }
         loop {
             self.skip_ws();
             match self.peek() {
@@ -167,8 +169,7 @@ impl<'a> Parser<'a> {
         if let Some(p) = pred {
             builder.value_pred(node, p);
         }
-        self.parse_preds(builder, node)?;
-        let _ = depth;
+        self.parse_preds(builder, node, depth)?;
         Ok(node)
     }
 
@@ -213,10 +214,13 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse the predicates of `node`, which sits `depth` predicates
+    /// deep; the steps inside them sit one level deeper.
     fn parse_preds(
         &mut self,
         builder: &mut GtpBuilder,
         node: QNodeId,
+        depth: usize,
     ) -> Result<(), QueryParseError> {
         loop {
             self.skip_ws();
@@ -227,7 +231,7 @@ impl<'a> Parser<'a> {
             let mut alternative_heads = Vec::new();
             let nodes_before = builder.node_count();
             loop {
-                let head = self.parse_pred_alternative(builder, node)?;
+                let head = self.parse_pred_alternative(builder, node, depth + 1)?;
                 alternative_heads.push(head);
                 self.skip_ws();
                 if !self.eat_keyword(b"or") {
@@ -249,13 +253,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// One predicate alternative: `predhead step (edge step)*`. Returns
-    /// the alternative's first (top) node.
+    /// One predicate alternative: `predhead step (edge step)*`, `depth`
+    /// predicates deep. Returns the alternative's first (top) node.
+    ///
+    /// Predicates are the parser's only recursion, so refusing to nest
+    /// past [`MAX_PRED_DEPTH`] here bounds its stack use for any input.
     fn parse_pred_alternative(
         &mut self,
         builder: &mut GtpBuilder,
         node: QNodeId,
+        depth: usize,
     ) -> Result<QNodeId, QueryParseError> {
+        if depth > MAX_PRED_DEPTH {
+            return Err(self.err("query nesting too deep"));
+        }
         self.skip_ws();
         let mut optional = self.eat(b'?');
         let mut axis = Axis::Child;
@@ -273,8 +284,8 @@ impl<'a> Parser<'a> {
             optional |= e.optional;
         }
         let edge = ParsedEdge { axis, optional };
-        let first = self.parse_step(builder, node, edge, 0)?;
-        self.parse_tail(builder, first, 0)?;
+        let first = self.parse_step(builder, node, edge, depth)?;
+        self.parse_tail(builder, first, depth)?;
         Ok(first)
     }
 
@@ -454,6 +465,26 @@ mod tests {
         assert!(parse_twig("//a]b").is_err());
         assert!(parse_twig("//a[.b]").is_err());
         assert!(parse_twig("//").is_err());
+    }
+
+    /// `//a[b[b[…]]]` with `depth` nested predicates.
+    fn nested(depth: usize) -> String {
+        format!("//a{}{}", "[b".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn predicate_nesting_is_bounded() {
+        assert_eq!(parse_twig(&nested(MAX_PRED_DEPTH)).unwrap().len(), MAX_PRED_DEPTH + 1);
+        let err = parse_twig(&nested(MAX_PRED_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("too deep"), "{err}");
+        // Far past the limit the parser stops right after the first
+        // bracket too many instead of recursing into the rest.
+        let err = parse_twig(&nested(40_000)).unwrap_err();
+        assert_eq!(err.offset, "//a".len() + "[b".len() * MAX_PRED_DEPTH + "[".len());
+        // OR alternatives and spine steps inside predicates count once
+        // per bracket, not per step.
+        let wide = format!("//a{}{}", "[x/y or b".repeat(MAX_PRED_DEPTH), "]".repeat(MAX_PRED_DEPTH));
+        assert!(parse_twig(&wide).is_ok());
     }
 
     #[test]

@@ -24,51 +24,28 @@
 //! stale), the rest are re-stamped to the new version — the analysis
 //! amortization survives edits that don't touch a plan's labels.
 
-use crate::planner::PlanDecision;
 use gtpquery::Gtp;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use twig2stack::IndexedPlan;
 use xmldom::Label;
+use xmlindex::PruningPolicy;
 
 /// A cached, immutable evaluation plan: the parsed query and its
 /// index-specific stream plan. Shared by `Arc` so a hit never copies and
 /// an eviction never invalidates an in-flight evaluation.
-///
-/// The only mutable state is the misprediction strike counter feeding the
-/// planner feedback loop (DESIGN.md §14): the plan itself never changes —
-/// a re-plan publishes a *new* `CachedPlan` under the same cache key.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The parsed query (node ids align with `plan`).
     pub gtp: Gtp,
     /// The summary-feasibility stream plan for the service's index,
-    /// computed with the decision's [`PruningPolicy`].
-    ///
-    /// [`PruningPolicy`]: xmlindex::PruningPolicy
+    /// computed with `policy`.
     pub plan: IndexedPlan,
-    /// The planner's verdict: engine, pruning policy, enumeration
-    /// strategy, and (in adaptive mode) the predictions behind them.
-    pub decision: PlanDecision,
-    /// Mispredicted executions observed on this plan (adaptive only).
-    mispredictions: AtomicU32,
-}
-
-impl CachedPlan {
-    /// Wrap a computed plan with a zeroed feedback state.
-    pub fn new(gtp: Gtp, plan: IndexedPlan, decision: PlanDecision) -> Self {
-        CachedPlan { gtp, plan, decision, mispredictions: AtomicU32::new(0) }
-    }
-
-    /// Record one mispredicted execution; returns the total so far
-    /// (including this one). The service re-plans when the total reaches
-    /// its strike threshold — exactly once per plan object, because the
-    /// replacement plan starts from zero.
-    pub(crate) fn note_misprediction(&self) -> u32 {
-        self.mispredictions.fetch_add(1, Ordering::Relaxed) + 1
-    }
+    /// The pruning policy [`gtpquery::cost::pruning_policy`] chose for
+    /// this plan.
+    pub policy: PruningPolicy,
 }
 
 #[derive(Debug)]
@@ -188,16 +165,16 @@ impl PlanCache {
 mod tests {
     use super::*;
     use gtpquery::parse_twig;
-    use twig2stack::IndexedPlan;
     use xmldom::parse;
-    use xmlindex::{ElementIndex, PruningPolicy};
+    use xmlindex::ElementIndex;
 
     fn plan_for(q: &str) -> Arc<CachedPlan> {
         let doc = parse("<a><b><c/></b></a>").unwrap();
         let index = ElementIndex::build(&doc);
         let gtp = parse_twig(q).unwrap();
-        let plan = IndexedPlan::compute(&gtp, &index, doc.labels(), PruningPolicy::Enabled);
-        Arc::new(CachedPlan::new(gtp, plan, PlanDecision::default()))
+        let policy = PruningPolicy::Enabled;
+        let plan = IndexedPlan::compute(&gtp, &index, doc.labels(), policy);
+        Arc::new(CachedPlan { gtp, plan, policy })
     }
 
     #[test]

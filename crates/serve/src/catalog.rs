@@ -24,22 +24,25 @@
 //!    submitted to the pool; each job admits itself through the shard's
 //!    gate (the PR 5 admission policy, per shard), evaluates its routed
 //!    documents in ascending doc-id order, and sends its hits back over
-//!    a channel. The gather side merges in `(doc id, document order)` —
-//!    byte-equal to serial iteration over all documents
+//!    a channel, together with the job's [`twigobs`] counters so the
+//!    caller's thread accounts for the engine work its query caused. The
+//!    gather side merges in `(doc id, document order)` — byte-equal to
+//!    serial iteration over all documents
 //!    ([`CatalogService::execute_serial`] is the oracle).
 //!
 //! 3. **Batching** — documents sharing a *schema* (equal
 //!    [`SummaryRef::fingerprint`](xmlindex::SummaryRef::fingerprint),
 //!    i.e. identical path-summary structure under the same sid
-//!    numbering) share one planner run: the cost-based [`PlanDecision`]
-//!    and the satisfiability verdict are computed against the first
-//!    document of the schema the query meets and reused for every
-//!    sibling — the planner runs once per schema, not once per document.
-//!    (Feasibility depends only on summary structure and label names, so
-//!    the *satisfiability* verdict transfers exactly; per-sid counts and
-//!    hulls vary within a schema, so the engine/policy choice is a
-//!    shape-representative approximation — a performance knob, never a
-//!    correctness one.) [`CatalogService::execute_batch`] additionally
+//!    numbering) share one planning run: the [`PruningPolicy`] (the same
+//!    [`pruning_policy`] rule `QueryService` applies per plan) and the
+//!    satisfiability verdict are computed against the first document of
+//!    the schema the query meets and reused for every sibling — planning
+//!    runs once per schema, not once per document. (Feasibility depends
+//!    only on summary structure and label names, so the *satisfiability*
+//!    verdict transfers exactly; per-sid counts and hulls vary within a
+//!    schema, so the pruning choice is a shape-representative
+//!    approximation — a performance knob, never a correctness one.)
+//!    [`CatalogService::execute_batch`] additionally
 //!    extends the PR 5 same-label-set shared scans across the batch: on
 //!    every document, queries whose plans read the same label set share
 //!    one merged stream scan.
@@ -51,14 +54,14 @@
 //! routing skip-rate plus the once-per-schema planning, measured by
 //! EXPERIMENTS.md Fig U.
 
-use crate::planner::{self, PlanDecision, PlannerMode};
 use crate::{Gate, ServeError, ServeIndex, Snapshot};
+use gtpquery::cost::pruning_policy;
 use gtpquery::{parse_twig, serialize, CancelToken, Gtp, ResultSet};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use twig2stack::{
     enumerate, try_match_indexed, try_match_indexed_group, IndexedPlan, MatchOptions,
@@ -165,8 +168,7 @@ pub struct DocHit {
 }
 
 /// Point-in-time catalog counters (plain atomics, mirrored into the
-/// matching [`twigobs`] counters; assertions use these because worker
-/// threads record `twigobs` metrics into their own thread-local sinks).
+/// matching [`twigobs`] counters, which need the `enabled` feature).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CatalogStats {
     /// Queries accepted (parse succeeded; routing ran).
@@ -179,7 +181,7 @@ pub struct CatalogStats {
     pub shard_queries: u64,
     /// Shared-scan groups formed by [`CatalogService::execute_batch`].
     pub batches: u64,
-    /// Per-schema planner runs (one per distinct fingerprint a query
+    /// Per-schema planning runs (one per distinct fingerprint a query
     /// met — the quantity once-per-schema planning amortizes).
     pub schema_plans: u64,
 }
@@ -194,16 +196,16 @@ struct CatalogStatsCell {
     schema_plans: AtomicU64,
 }
 
-/// The planner's per-schema verdict for one catalog plan.
+/// The per-schema planning verdict for one catalog plan.
 #[derive(Debug, Clone, Copy)]
 struct SchemaPlan {
-    decision: PlanDecision,
+    policy: PruningPolicy,
     unsatisfiable: bool,
 }
 
 /// A cached catalog query: the parsed GTP (document-independent — label
 /// names resolve per document at dispatch), its required routing labels,
-/// and the per-schema planner verdicts accumulated so far.
+/// and the per-schema verdicts accumulated so far.
 struct CatalogPlan {
     gtp: Gtp,
     required: Vec<String>,
@@ -320,7 +322,6 @@ impl CatalogService {
                 doc,
                 index,
                 version: 0,
-                dewey: OnceLock::new(),
             });
             shards[i % shard_count].push(DocEntry {
                 id: i as u32,
@@ -522,17 +523,11 @@ impl CatalogService {
             let entry = &self.inner.shards[id % shard_count].docs[id / shard_count];
             let snap = &entry.snap;
             let labels = snap.doc.labels();
-            // The full per-document pipeline, every time: plan decision,
-            // feasibility analysis, stream scan.
-            let decision = planner::decide(
-                &gtp,
-                snap.index(),
-                labels,
-                PlannerMode::Adaptive,
-                PruningPolicy::Enabled,
-            );
-            let plan = IndexedPlan::compute(&gtp, snap.index(), labels, decision.policy);
-            let rows = eval_entry(snap, &gtp, &plan)?;
+            // The full per-document pipeline, every time: pruning
+            // decision, feasibility analysis, stream scan.
+            let policy = pruning_policy(&gtp, snap.index().summary(), labels);
+            let plan = IndexedPlan::compute(&gtp, snap.index(), labels, policy);
+            let rows = eval_entry(snap, &gtp, &plan, &CancelToken::never())?;
             if !rows.is_empty() {
                 hits.push(DocHit {
                     doc: entry.id,
@@ -544,7 +539,9 @@ impl CatalogService {
     }
 
     /// Submit one job per `(shard, routed positions)` pair and gather
-    /// the per-shard outputs, in shard order. A job that dies without
+    /// the per-shard outputs, in shard order. Each job drains its pool
+    /// thread's [`twigobs`] counters and ships them back with its output,
+    /// so they land on the calling thread. A job that dies without
     /// reporting (a panicking worker) surfaces as
     /// [`ServeError::Panicked`] instead of a silent truncation.
     fn scatter<T, F>(
@@ -573,11 +570,17 @@ impl CatalogService {
             let tx = tx.clone();
             self.pool.submit(Box::new(move || {
                 let outcome = run(&inner, si, positions);
-                let _ = tx.send((si, outcome));
+                let _ = tx.send((si, outcome, twigobs::take()));
             }));
         }
         drop(tx);
-        let mut gathered: Vec<(usize, Result<T, ServeError>)> = rx.iter().collect();
+        let mut gathered: Vec<(usize, Result<T, ServeError>)> = rx
+            .iter()
+            .map(|(si, outcome, metrics)| {
+                twigobs::absorb(&metrics);
+                (si, outcome)
+            })
+            .collect();
         if gathered.len() != jobs {
             return Err(ServeError::Panicked("a catalog shard job died".into()));
         }
@@ -640,8 +643,8 @@ impl CatalogInner {
         work
     }
 
-    /// The per-schema planner verdict for (`plan`, `entry`), computed on
-    /// first contact with the schema and reused for every sibling.
+    /// The per-schema verdict for (`plan`, `entry`), computed on first
+    /// contact with the schema and reused for every sibling.
     /// Returns the verdict plus, on a schema miss, the probe
     /// [`IndexedPlan`] already computed against `entry`'s index (the
     /// caller reuses it instead of analyzing twice).
@@ -655,17 +658,10 @@ impl CatalogInner {
             return (*s, None);
         }
         let snap = &entry.snap;
-        let decision = planner::decide(
-            &plan.gtp,
-            snap.index(),
-            snap.doc.labels(),
-            PlannerMode::Adaptive,
-            PruningPolicy::Enabled,
-        );
-        let probe =
-            IndexedPlan::compute(&plan.gtp, snap.index(), snap.doc.labels(), decision.policy);
+        let policy = pruning_policy(&plan.gtp, snap.index().summary(), snap.doc.labels());
+        let probe = IndexedPlan::compute(&plan.gtp, snap.index(), snap.doc.labels(), policy);
         let verdict = SchemaPlan {
-            decision,
+            policy,
             unsatisfiable: probe.is_unsatisfiable(),
         };
         schemas.insert(entry.fingerprint, verdict);
@@ -698,10 +694,10 @@ impl CatalogInner {
                     &plan.gtp,
                     entry.snap.index(),
                     entry.snap.doc.labels(),
-                    schema.decision.policy,
+                    schema.policy,
                 )
             });
-            let rows = eval_entry_cancellable(&entry.snap, &plan.gtp, &iplan, cancel)?;
+            let rows = eval_entry(&entry.snap, &plan.gtp, &iplan, cancel)?;
             if !rows.is_empty() {
                 out.push(DocHit {
                     doc: entry.id,
@@ -725,13 +721,7 @@ impl CatalogInner {
         let shard = &self.shards[si];
         let _permit = match shard.gate.admit() {
             Ok(p) => p,
-            Err(e) => {
-                let msg = e.to_string();
-                return members
-                    .iter()
-                    .map(|_| Err(ServeError::Panicked(msg.clone())))
-                    .collect();
-            }
+            Err(shed) => return members.iter().map(|_| Err(shed.into())).collect(),
         };
         let mut out: Vec<Result<Vec<DocHit>, ServeError>> =
             members.iter().map(|_| Ok(Vec::new())).collect();
@@ -753,7 +743,7 @@ impl CatalogInner {
                         &plan.gtp,
                         entry.snap.index(),
                         entry.snap.doc.labels(),
-                        schema.decision.policy,
+                        schema.policy,
                     )
                 });
                 ready.push((m, iplan));
@@ -769,14 +759,14 @@ impl CatalogInner {
                 }
             }
             for (_, group) in groups {
+                let gtp = |ri: usize| &members[ready[ri].0].1.gtp;
+                let mut shared = None;
                 if group.len() > 1 {
                     self.stats.batches.fetch_add(1, Ordering::Relaxed);
                     twigobs::bump(twigobs::Counter::CatalogBatches);
-                    let refs: Vec<(&Gtp, &IndexedPlan)> = group
-                        .iter()
-                        .map(|&ri| (&members[ready[ri].0].1.gtp, &ready[ri].1))
-                        .collect();
-                    let shared = catch_unwind(AssertUnwindSafe(|| {
+                    let refs: Vec<(&Gtp, &IndexedPlan)> =
+                        group.iter().map(|&ri| (gtp(ri), &ready[ri].1)).collect();
+                    shared = catch_unwind(AssertUnwindSafe(|| {
                         try_match_indexed_group(
                             &entry.snap.doc,
                             entry.snap.index(),
@@ -784,43 +774,28 @@ impl CatalogInner {
                             MatchOptions::default(),
                             &CancelToken::never(),
                         )
-                        .map(|v| {
-                            v.into_iter()
-                                .map(|(tm, _)| enumerate(&tm))
-                                .collect::<Vec<_>>()
-                        })
-                    }));
-                    if let Ok(Ok(results)) = shared {
-                        for (&ri, rows) in group.iter().zip(results) {
-                            let m = ready[ri].0;
-                            if !rows.is_empty() {
-                                if let Ok(acc) = &mut out[m] {
-                                    acc.push(DocHit {
-                                        doc: entry.id,
-                                        rows,
-                                    });
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    // Shared scan failed: fall through to per-member
-                    // evaluation for accurate per-query errors.
+                        .map(|v| v.into_iter().map(|(tm, _)| Ok(enumerate(&tm))).collect())
+                    }))
+                    .ok()
+                    .and_then(Result::ok);
                 }
-                for &ri in &group {
-                    let (m, iplan) = (&ready[ri].0, &ready[ri].1);
-                    let rows = eval_entry(&entry.snap, &members[*m].1.gtp, iplan);
-                    match (rows, &mut out[*m]) {
-                        (Ok(rows), Ok(acc)) => {
-                            if !rows.is_empty() {
-                                acc.push(DocHit {
-                                    doc: entry.id,
-                                    rows,
-                                });
-                            }
-                        }
+                // Alone in its label set, or the shared scan failed:
+                // evaluate per member for accurate per-query errors.
+                let results: Vec<Result<ResultSet, ServeError>> = shared.unwrap_or_else(|| {
+                    let never = CancelToken::never();
+                    group
+                        .iter()
+                        .map(|&ri| eval_entry(&entry.snap, gtp(ri), &ready[ri].1, &never))
+                        .collect()
+                });
+                for (&ri, rows) in group.iter().zip(results) {
+                    match (rows, &mut out[ready[ri].0]) {
+                        (Ok(rows), Ok(acc)) if !rows.is_empty() => acc.push(DocHit {
+                            doc: entry.id,
+                            rows,
+                        }),
                         (Err(e), slot @ Ok(_)) => *slot = Err(e),
-                        (_, Err(_)) => {}
+                        _ => {}
                     }
                 }
             }
@@ -848,13 +823,9 @@ impl CatalogPlan {
     }
 }
 
-fn eval_entry(snap: &Snapshot, gtp: &Gtp, plan: &IndexedPlan) -> Result<ResultSet, ServeError> {
-    eval_entry_cancellable(snap, gtp, plan, &CancelToken::never())
-}
-
 /// One document's indexed Twig²Stack evaluation, panic-contained so an
 /// engine bug in one document cannot take down a shard worker.
-fn eval_entry_cancellable(
+fn eval_entry(
     snap: &Snapshot,
     gtp: &Gtp,
     plan: &IndexedPlan,
@@ -1066,6 +1037,20 @@ mod tests {
             err,
             ServeError::Query(gtpquery::QueryError::DeadlineExceeded)
         ));
+    }
+
+    #[test]
+    fn deepest_parsable_predicate_evaluates_on_a_default_stack() {
+        // The parser's nesting limit, through routing, planning and a
+        // scatter job, on a thread with the platform's default 2 MiB.
+        let q = format!("//a{}{}", "[b".repeat(256), "]".repeat(256));
+        let hits = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || catalog(2).execute(&q).map(|hits| hits.len()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(hits.unwrap(), 0, "no document nests b 256 deep");
     }
 
     #[test]

@@ -28,14 +28,13 @@
 //!   queries that scan the same label set and feeds them from **one**
 //!   merged stream scan ([`twig2stack::try_match_indexed_group`]),
 //!   falling back to per-query evaluation when a shared scan fails so
-//!   each query still reports its own typed error;
-//! * **planner** — a cost-based [`planner`] picks engine (Twig²Stack /
-//!   TwigStack / PathStack / TJFast), [`PruningPolicy`], and
-//!   early-vs-full enumeration per cached plan from path-summary
-//!   statistics ([`gtpquery::cost`], DESIGN.md §14), recording its
-//!   predictions next to the actual counters so mispredictions are
-//!   visible. Off by default: [`PlannerMode`] defaults to
-//!   `Forced(Twig2Stack)`, the exact pre-planner behaviour.
+//!   each query still reports its own typed error.
+//!
+//! Every plan runs the paper's engine, Twig²Stack, over the index's
+//! streams. The one per-plan decision is its [`PruningPolicy`], taken
+//! from the path summary by [`gtpquery::cost::pruning_policy`] on each
+//! plan-cache miss (DESIGN.md §14): prune when the summary predicts it
+//! saves at least 1/8 of the full scan.
 //!
 //! A fifth mechanism (DESIGN.md §15) makes the served document mutable
 //! without ever making a snapshot mutable: [`QueryService::apply_edit`]
@@ -49,13 +48,6 @@
 //! preserved) and the plan's scanned label set is disjoint from the
 //! edit's changed labels.
 //!
-//! Engine caveats under a non-default [`PlannerMode`]: the baseline
-//! engines are not cancellable mid-scan (the [`CancelToken`] is checked
-//! once before they run), and their result rows are canonicalized into
-//! document order ([`ResultSet::sorted`]) so every engine returns
-//! byte-identical rows for the same full-twig query — asserted per query
-//! by the Fig A experiment and the `adaptive_vs_forced` fuzz invariant.
-//!
 //! ```
 //! use twigserve::{QueryService, ServiceConfig};
 //!
@@ -66,44 +58,35 @@
 //! svc.execute("//a/b[c]").unwrap(); // second run hits the plan cache
 //! let stats = svc.stats();
 //! assert_eq!(stats.plan_cache_hits, 1);
-//! assert_eq!(stats.analyses_run, 1);
+//! assert_eq!(stats.plan_cache_misses, 1);
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod catalog;
-pub mod planner;
 pub mod subscribe;
 
 pub use cache::CachedPlan;
 pub use catalog::{CatalogConfig, CatalogDoc, CatalogService, CatalogStats, DocHit, LabelBloom};
-pub use gtpquery::cost::PlanEngine;
-pub use planner::{PlanDecision, PlannerMode};
 pub use subscribe::{SubNotification, SubscriptionId, SubscriptionService};
 
 use cache::PlanCache;
-use gtpquery::{
-    parse_twig, serialize, CancelToken, Cell, Gtp, QueryError, QueryParseError, ResultSet,
-};
+use gtpquery::cost::pruning_policy;
+use gtpquery::{parse_twig, serialize, CancelToken, Gtp, QueryError, QueryParseError, ResultSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Condvar, Mutex, RwLock};
 use std::time::Duration;
 use twig2stack::{
-    enumerate, evaluate_early, try_match_indexed, try_match_indexed_group, EvalContext,
-    IndexedPlan, MatchOptions,
-};
-use twigbaselines::{
-    path_stack_indexed, tj_fast_indexed, twig_stack_indexed, DeweyResolver, PathStackStats,
-    TJFastStats, TwigStackStats,
+    enumerate, try_match_indexed, try_match_indexed_group, EvalContext, IndexedPlan, MatchOptions,
 };
 use xmldom::{apply_op, Document, EditDelta, EditError, EditOp, Label};
 use xmlindex::{
-    DeweyIndex, EditApply, ElementIndex, IndexView, IndexedElement, MappedIndex, MappedOpenError,
+    EditApply, ElementIndex, IndexView, IndexedElement, MappedIndex, MappedOpenError,
     PruningPolicy, SummaryRef,
 };
 
@@ -124,14 +107,6 @@ pub struct ServiceConfig {
     /// Deadline applied to queries submitted without an explicit token;
     /// `None` means no implicit deadline.
     pub default_deadline: Option<Duration>,
-    /// Whether plans use path-summary pruning (on for production; off
-    /// only for A/B measurement). Under [`PlannerMode::Adaptive`] this is
-    /// only the fallback: the planner picks pruning per query.
-    pub pruning: PruningPolicy,
-    /// How queries are planned: `Forced(engine)` (the default pins
-    /// Twig²Stack — the exact pre-planner behaviour) or `Adaptive`
-    /// cost-based selection (see [`planner`]).
-    pub planner: PlannerMode,
 }
 
 impl Default for ServiceConfig {
@@ -142,8 +117,6 @@ impl Default for ServiceConfig {
             plan_cache_capacity: 128,
             plan_cache_shards: 8,
             default_deadline: None,
-            pruning: PruningPolicy::Enabled,
-            planner: PlannerMode::default(),
         }
     }
 }
@@ -225,7 +198,8 @@ impl From<EditError> for ServeError {
 pub struct ServiceStats {
     /// Plan lookups served from the cache (analysis skipped).
     pub plan_cache_hits: u64,
-    /// Plan lookups that had to run the feasibility analysis.
+    /// Plan lookups that had to run the feasibility analysis (the cost
+    /// Fig T shows the cache amortizing).
     pub plan_cache_misses: u64,
     /// Cached plans evicted by the LRU policy.
     pub plan_cache_evictions: u64,
@@ -237,21 +211,9 @@ pub struct ServiceStats {
     pub deadline_exceeded: u64,
     /// Admitted queries aborted by explicit cancellation.
     pub cancelled: u64,
-    /// Feasibility analyses actually run (== misses; the quantity Fig T
-    /// shows the cache amortizing).
-    pub analyses_run: u64,
     /// Requests that drew a pooled [`EvalContext`] instead of
     /// allocating a fresh one.
     pub contexts_reused: u64,
-    /// Plans decided by the cost model (a subset of `analyses_run`;
-    /// zero under a forced planner).
-    pub plans_adaptive: u64,
-    /// Adaptive executions whose actual stream scan fell outside the
-    /// prediction tolerance ([`planner::scan_within_tolerance`]).
-    pub plan_mispredictions: u64,
-    /// Cached plans replaced by the feedback loop after repeated
-    /// mispredictions ([`planner::replan`]; DESIGN.md §14).
-    pub plans_replanned: u64,
     /// Document edits applied through [`QueryService::apply_edit`]
     /// (rejected edits do not count).
     pub edits_applied: u64,
@@ -272,11 +234,7 @@ struct StatsCell {
     rejected: AtomicU64,
     deadline: AtomicU64,
     cancelled: AtomicU64,
-    analyses: AtomicU64,
     ctx_reused: AtomicU64,
-    adaptive: AtomicU64,
-    mispredict: AtomicU64,
-    replans: AtomicU64,
     edits: AtomicU64,
     rotations: AtomicU64,
     invalidations: AtomicU64,
@@ -297,6 +255,24 @@ struct Gate {
     max_waiting: usize,
 }
 
+/// The overload policy's verdict: the running set and the wait queue
+/// were both full. The only way [`Gate::admit`] fails; it becomes
+/// [`ServeError::Overloaded`] at the service boundary.
+#[derive(Debug, Clone, Copy)]
+struct Shed {
+    running: usize,
+    waiting: usize,
+}
+
+impl From<Shed> for ServeError {
+    fn from(s: Shed) -> Self {
+        ServeError::Overloaded {
+            running: s.running,
+            waiting: s.waiting,
+        }
+    }
+}
+
 /// An admitted request's slot; releases (and wakes a waiter) on drop, so
 /// a panicking evaluation still frees its slot.
 #[derive(Debug)]
@@ -314,14 +290,14 @@ impl Gate {
         }
     }
 
-    fn admit(&self) -> Result<Permit<'_>, ServeError> {
+    fn admit(&self) -> Result<Permit<'_>, Shed> {
         let mut st = self.state.lock().expect("gate poisoned");
         if st.running < self.max_running {
             st.running += 1;
             return Ok(Permit { gate: self });
         }
         if st.waiting >= self.max_waiting {
-            return Err(ServeError::Overloaded {
+            return Err(Shed {
                 running: st.running,
                 waiting: st.waiting,
             });
@@ -407,17 +383,14 @@ impl IndexView for ServeIndex {
     }
 }
 
-/// One immutable generation of the served document: the document, its
-/// index, and the lazily built TJFast Dewey machinery, all frozen at a
-/// version. Queries evaluate against the snapshot they were admitted
-/// under; edits never mutate a snapshot, they publish the next one.
+/// One immutable generation of the served document: the document and
+/// its index, frozen at a version. Queries evaluate against the snapshot
+/// they were admitted under; edits never mutate a snapshot, they publish
+/// the next one.
 pub struct Snapshot {
     doc: Document,
     index: ServeIndex,
     version: u64,
-    /// TJFast's Dewey machinery, built lazily on the first plan that
-    /// selects that engine (most snapshots never pay for it).
-    dewey: OnceLock<(DeweyIndex, DeweyResolver)>,
 }
 
 impl Snapshot {
@@ -537,7 +510,6 @@ impl QueryService {
             doc,
             index,
             version: 0,
-            dewey: OnceLock::new(),
         });
         QueryService {
             snapshot: RwLock::new(snapshot),
@@ -551,7 +523,7 @@ impl QueryService {
     }
 
     /// Pin the current snapshot. The `Arc` keeps the whole generation
-    /// (document, index, Dewey) alive for as long as the caller holds it,
+    /// (document and index) alive for as long as the caller holds it,
     /// no matter how many rotations happen meanwhile.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
@@ -591,7 +563,6 @@ impl QueryService {
             doc,
             index,
             version,
-            dewey: OnceLock::new(),
         });
         *self.snapshot.write().expect("snapshot lock poisoned") = next;
         let rebuilt = how == EditApply::Rebuilt;
@@ -674,7 +645,6 @@ impl QueryService {
             doc: doc_cur.expect("non-empty batch"),
             index: ServeIndex::Heap(ix_cur.expect("non-empty batch")),
             version,
-            dewey: OnceLock::new(),
         });
         *self.snapshot.write().expect("snapshot lock poisoned") = next;
         let invalidated = self
@@ -709,11 +679,7 @@ impl QueryService {
             queries_rejected: s.rejected.load(Ordering::Relaxed),
             deadline_exceeded: s.deadline.load(Ordering::Relaxed),
             cancelled: s.cancelled.load(Ordering::Relaxed),
-            analyses_run: s.analyses.load(Ordering::Relaxed),
             contexts_reused: s.ctx_reused.load(Ordering::Relaxed),
-            plans_adaptive: s.adaptive.load(Ordering::Relaxed),
-            plan_mispredictions: s.mispredict.load(Ordering::Relaxed),
-            plans_replanned: s.replans.load(Ordering::Relaxed),
             edits_applied: s.edits.load(Ordering::Relaxed),
             snapshot_rotations: s.rotations.load(Ordering::Relaxed),
             plan_cache_invalidations: s.invalidations.load(Ordering::Relaxed),
@@ -721,10 +687,10 @@ impl QueryService {
     }
 
     /// Plan `query` (through the cache, without admission or
-    /// evaluation) and return the planner's decision for it — the
-    /// introspection hook the pinned planner tests and Fig A use.
-    pub fn planned(&self, query: &str) -> Result<PlanDecision, ServeError> {
-        Ok(self.lookup_plan(&self.snapshot(), query)?.decision)
+    /// evaluation) and return the pruning policy its plan runs with — the
+    /// introspection hook the pinned planning tests and Fig S use.
+    pub fn planned(&self, query: &str) -> Result<PruningPolicy, ServeError> {
+        Ok(self.lookup_plan(&self.snapshot(), query)?.policy)
     }
 
     /// Evaluate one query under the config's default deadline (if any).
@@ -766,66 +732,44 @@ impl QueryService {
             }
         }
         // Group by scanned label set: equal sets share one merged scan.
-        // Only full-enumeration Twig²Stack plans can join a shared scan;
-        // anything the planner routed elsewhere evaluates on its own.
         type Group = (Vec<Label>, Vec<(usize, Arc<CachedPlan>)>);
         let mut groups: Vec<Group> = Vec::new();
-        let mut singles: Vec<Group> = Vec::new();
         for (i, p) in prepared {
-            let groupable = p.decision.engine == PlanEngine::Twig2Stack && !p.decision.early;
-            if !groupable {
-                singles.push((Vec::new(), vec![(i, p)]));
-                continue;
-            }
             let key = p.plan.labels();
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push((i, p)),
                 None => groups.push((key, vec![(i, p)])),
             }
         }
-        for (_, members) in groups.into_iter().chain(singles) {
+        for (_, members) in groups {
             let cancel = self.default_cancel();
             let permit = match self.admit(members.len() as u64) {
                 Ok(p) => p,
-                Err(ServeError::Overloaded { running, waiting }) => {
+                Err(shed) => {
                     for (i, _) in &members {
-                        out[*i] = Some(Err(ServeError::Overloaded { running, waiting }));
-                    }
-                    continue;
-                }
-                Err(e) => {
-                    // admit only fails with Overloaded; keep the typed
-                    // error for the first member if that ever changes.
-                    let (first, rest) = members.split_first().expect("non-empty group");
-                    out[first.0] = Some(Err(e));
-                    for (i, _) in rest {
-                        out[*i] = Some(Err(ServeError::Overloaded {
-                            running: 0,
-                            waiting: 0,
-                        }));
+                        out[*i] = Some(Err(shed.into()));
                     }
                     continue;
                 }
             };
-            match members.as_slice() {
-                [(i, plan)] => out[*i] = Some(self.eval_single(&snap, plan, &cancel)),
-                _ => {
-                    match self.eval_group(&snap, &members, &cancel) {
-                        Some(results) => {
-                            for ((i, _), rs) in members.iter().zip(results) {
-                                out[*i] = Some(Ok(rs));
-                            }
-                        }
-                        None => {
-                            // Shared scan failed (deadline, cancellation,
-                            // panic): evaluate members individually so
-                            // each reports its own typed error — and any
-                            // member unaffected by a per-query fault
-                            // still succeeds.
-                            for (i, plan) in &members {
-                                out[*i] = Some(self.eval_single(&snap, plan, &cancel));
-                            }
-                        }
+            let shared = match members.as_slice() {
+                [_] => None,
+                _ => self.eval_group(&snap, &members, &cancel),
+            };
+            match shared {
+                Some(results) => {
+                    for ((i, _), rs) in members.iter().zip(results) {
+                        out[*i] = Some(Ok(rs));
+                    }
+                }
+                // Alone in its label set (the pooled single-query path),
+                // or the shared scan failed (deadline, cancellation,
+                // panic): evaluate members individually so each reports
+                // its own typed error — and any member unaffected by a
+                // per-query fault still succeeds.
+                None => {
+                    for (i, plan) in &members {
+                        out[*i] = Some(self.eval_single(&snap, plan, &cancel));
                     }
                 }
             }
@@ -844,7 +788,7 @@ impl QueryService {
     }
 
     /// Admit one unit of evaluation work covering `queries` queries.
-    fn admit(&self, queries: u64) -> Result<Permit<'_>, ServeError> {
+    fn admit(&self, queries: u64) -> Result<Permit<'_>, Shed> {
         match self.gate.admit() {
             Ok(p) => {
                 self.stats.admitted.fetch_add(queries, Ordering::Relaxed);
@@ -872,19 +816,9 @@ impl QueryService {
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         twigobs::bump(twigobs::Counter::PlanCacheMisses);
-        self.stats.analyses.fetch_add(1, Ordering::Relaxed);
-        let decision = planner::decide(
-            &gtp,
-            snap.index(),
-            snap.doc.labels(),
-            self.config.planner,
-            self.config.pruning,
-        );
-        if decision.adaptive {
-            self.stats.adaptive.fetch_add(1, Ordering::Relaxed);
-        }
-        let plan = IndexedPlan::compute(&gtp, snap.index(), snap.doc.labels(), decision.policy);
-        let cached = Arc::new(CachedPlan::new(gtp, plan, decision));
+        let policy = pruning_policy(&gtp, snap.index().summary(), snap.doc.labels());
+        let plan = IndexedPlan::compute(&gtp, snap.index(), snap.doc.labels(), policy);
+        let cached = Arc::new(CachedPlan { gtp, plan, policy });
         let evicted = self.cache.insert(key, Arc::clone(&cached), snap.version);
         if evicted > 0 {
             self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -924,114 +858,14 @@ impl QueryService {
         }
     }
 
-    /// Misprediction strikes on one cached plan before the feedback loop
-    /// re-plans it with the measured scan (ROADMAP item 4a).
-    const REPLAN_AFTER: u32 = 3;
-
-    /// After a successful adaptive execution: mirror the predictions
-    /// into the sidecar counters (next to the engines' actual counters)
-    /// and flag the execution as mispredicted when the actual stream
-    /// scan left the tolerance window. `actual_scan` is `None` for
-    /// executions with no stream-scan proxy (early enumeration walks
-    /// parse events, not streams) — those record predictions but are
-    /// never alarmed.
-    ///
-    /// The [`Self::REPLAN_AFTER`]th strike on one plan triggers the
-    /// feedback loop: [`planner::replan`] re-derives the decision with
-    /// the measured scan blended in, and the replacement plan is
-    /// published under the same cache key (for `snap`'s generation), so
-    /// the next lookup serves the corrected decision.
-    fn record_outcome(&self, snap: &Snapshot, plan: &CachedPlan, actual_scan: Option<u64>) {
-        let decision = &plan.decision;
-        if !decision.adaptive {
-            return;
-        }
-        twigobs::add(twigobs::Counter::PlanPredictedScan, decision.predicted_scan);
-        twigobs::add(
-            twigobs::Counter::PlanPredictedResults,
-            decision.predicted_results,
-        );
-        if let Some(actual) = actual_scan {
-            if !planner::scan_within_tolerance(decision.predicted_scan, actual) {
-                self.stats.mispredict.fetch_add(1, Ordering::Relaxed);
-                twigobs::bump(twigobs::Counter::PlanMispredictions);
-                if plan.note_misprediction() == Self::REPLAN_AFTER {
-                    self.replan(snap, plan, actual);
-                }
-            }
-        }
-    }
-
-    /// Publish a feedback-corrected replacement for `plan` (same cache
-    /// key, `snap`'s generation). Races are benign: a concurrent lookup
-    /// either sees the old plan (one more corrected-next-time execution)
-    /// or the new one; whichever insert lands last wins, and both carry
-    /// decisions valid for this snapshot.
-    fn replan(&self, snap: &Snapshot, plan: &CachedPlan, measured_scan: u64) {
-        let decision = planner::replan(
-            &plan.gtp,
-            snap.index(),
-            snap.doc.labels(),
-            &plan.decision,
-            measured_scan,
-        );
-        let gtp = plan.gtp.clone();
-        let revised = IndexedPlan::compute(&gtp, snap.index(), snap.doc.labels(), decision.policy);
-        let key = serialize(&gtp);
-        let evicted = self.cache.insert(
-            key,
-            Arc::new(CachedPlan::new(gtp, revised, decision)),
-            snap.version,
-        );
-        if evicted > 0 {
-            self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
-            twigobs::add(twigobs::Counter::PlanCacheEvictions, evicted);
-        }
-        self.stats.replans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-query evaluation, dispatched on the plan's engine decision.
+    /// Per-query evaluation: the pooled-context Twig²Stack
+    /// match-then-enumerate pipeline over the plan's streams.
     fn eval_single(
         &self,
         snap: &Snapshot,
         plan: &CachedPlan,
         cancel: &CancelToken,
     ) -> Result<ResultSet, ServeError> {
-        match plan.decision.engine {
-            PlanEngine::Twig2Stack => self.eval_twig2stack(snap, plan, cancel),
-            engine => self.eval_baseline(snap, engine, plan, cancel),
-        }
-    }
-
-    /// The Twig²Stack path: early enumeration if the decision asked for
-    /// it (falling back to the full pipeline when the query shape is
-    /// unsupported), else the pooled-context match-then-enumerate
-    /// pipeline.
-    fn eval_twig2stack(
-        &self,
-        snap: &Snapshot,
-        plan: &CachedPlan,
-        cancel: &CancelToken,
-    ) -> Result<ResultSet, ServeError> {
-        if plan.decision.early {
-            if let Err(e) = cancel.check() {
-                self.note_query_error(&e);
-                return Err(ServeError::Query(e));
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                evaluate_early(&snap.doc, &plan.gtp, MatchOptions::default())
-            }));
-            match outcome {
-                Ok(Ok((rs, _stats))) => {
-                    self.record_outcome(snap, plan, None);
-                    return Ok(rs);
-                }
-                // Shape outside the early fragment: run the full
-                // pipeline below instead.
-                Ok(Err(_unsupported)) => {}
-                Err(payload) => return Err(ServeError::Panicked(panic_message(payload))),
-            }
-        }
         let mut ctx = self.pop_context();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             try_match_indexed(
@@ -1043,13 +877,12 @@ impl QueryService {
                 Some(&mut ctx),
                 cancel,
             )
-            .map(|(tm, stats)| (enumerate(&tm), tm, stats.elements_considered as u64))
+            .map(|(tm, _stats)| (enumerate(&tm), tm))
         }));
         match outcome {
-            Ok(Ok((rs, tm, scanned))) => {
+            Ok(Ok((rs, tm))) => {
                 ctx.recycle(tm);
                 self.push_context(ctx);
-                self.record_outcome(snap, plan, Some(scanned));
                 Ok(rs)
             }
             Ok(Err(e)) => {
@@ -1061,68 +894,6 @@ impl QueryService {
             }
             // A panicked evaluation may have left `ctx` mid-surgery:
             // drop it instead of pooling.
-            Err(payload) => Err(ServeError::Panicked(panic_message(payload))),
-        }
-    }
-
-    /// A decomposition baseline (TwigStack / PathStack / TJFast). These
-    /// engines do not poll the [`CancelToken`] mid-scan, so the token is
-    /// checked once up front; results are canonicalized into document
-    /// order so every engine agrees byte-for-byte.
-    fn eval_baseline(
-        &self,
-        snap: &Snapshot,
-        engine: PlanEngine,
-        plan: &CachedPlan,
-        cancel: &CancelToken,
-    ) -> Result<ResultSet, ServeError> {
-        if let Err(e) = cancel.check() {
-            self.note_query_error(&e);
-            return Err(ServeError::Query(e));
-        }
-        let policy = plan.decision.policy;
-        let outcome = catch_unwind(AssertUnwindSafe(|| match engine {
-            PlanEngine::TwigStack => {
-                let mut st = TwigStackStats::default();
-                let rs =
-                    twig_stack_indexed(snap.index(), snap.doc.labels(), &plan.gtp, policy, &mut st);
-                (rs.sorted(), st.elements_scanned as u64)
-            }
-            PlanEngine::PathStack => {
-                let mut st = PathStackStats::default();
-                let sols =
-                    path_stack_indexed(snap.index(), snap.doc.labels(), &plan.gtp, policy, &mut st);
-                let mut rs = ResultSet::new(sols.path.clone());
-                for row in sols.solutions {
-                    rs.push(row.into_iter().map(Cell::Node).collect());
-                }
-                (rs.sorted(), st.elements_scanned as u64)
-            }
-            PlanEngine::TJFast => {
-                let (dewey, resolver) = snap.dewey.get_or_init(|| {
-                    let dewey = DeweyIndex::build(&snap.doc);
-                    let resolver = DeweyResolver::build(&dewey, snap.doc.labels());
-                    (dewey, resolver)
-                });
-                let mut st = TJFastStats::default();
-                let rs = tj_fast_indexed(
-                    &plan.gtp,
-                    dewey,
-                    snap.index().summary(),
-                    snap.doc.labels(),
-                    resolver,
-                    policy,
-                    &mut st,
-                );
-                (rs.sorted(), st.elements_scanned as u64)
-            }
-            PlanEngine::Twig2Stack => unreachable!("dispatched by eval_single"),
-        }));
-        match outcome {
-            Ok((rs, scanned)) => {
-                self.record_outcome(snap, plan, Some(scanned));
-                Ok(rs)
-            }
             Err(payload) => Err(ServeError::Panicked(panic_message(payload))),
         }
     }
@@ -1189,11 +960,30 @@ mod tests {
     #[test]
     fn execute_matches_serial_evaluation() {
         let svc = service(ServiceConfig::default());
-        for q in ["//a/b[c]", "//a//b", "//b/y", "//a/b[y='2006']"] {
+        // `b!` is a non-return node: a GTP extension no decomposition
+        // baseline runs.
+        for q in ["//a/b[c]", "//a//b", "//b/y", "//a/b[y='2006']", "//a/b!/c"] {
             let gtp = parse_twig(q).unwrap();
             let expected = twig2stack::evaluate(svc.snapshot().doc(), &gtp);
             assert_eq!(svc.execute(q).unwrap(), expected, "{q}");
         }
+    }
+
+    /// `//a[b[b[…]]]` with `depth` nested predicates.
+    fn nested_query(depth: usize) -> String {
+        format!("//a{}{}", "[b".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn predicate_nesting_past_the_limit_is_a_parse_error() {
+        let svc = service(ServiceConfig::default());
+        let err = svc.execute(&nested_query(40_000)).unwrap_err();
+        assert!(matches!(err, ServeError::Parse(_)), "{err}");
+        assert_eq!(svc.stats().plan_cache_misses, 0);
+        // At the limit the query still plans and evaluates.
+        let deep = nested_query(256);
+        let expected = twig2stack::evaluate(svc.snapshot().doc(), &parse_twig(&deep).unwrap());
+        assert_eq!(svc.execute(&deep).unwrap(), expected);
     }
 
     #[test]
@@ -1203,9 +993,8 @@ mod tests {
         let b = svc.execute("//a/b[c]").unwrap();
         assert_eq!(a, b);
         let s = svc.stats();
-        assert_eq!(s.plan_cache_misses, 1);
+        assert_eq!(s.plan_cache_misses, 1, "the hit skipped the analysis");
         assert_eq!(s.plan_cache_hits, 1);
-        assert_eq!(s.analyses_run, 1, "the hit skipped the analysis");
         assert_eq!(s.queries_admitted, 2);
         assert_eq!(
             s.contexts_reused, 1,
@@ -1241,7 +1030,7 @@ mod tests {
         svc.execute("//a/b[c]").unwrap();
         let s = svc.stats();
         assert_eq!(s.plan_cache_hits, 0);
-        assert_eq!(s.analyses_run, 2);
+        assert_eq!(s.plan_cache_misses, 2);
         assert_eq!(svc.cached_plans(), 0);
     }
 
@@ -1252,7 +1041,7 @@ mod tests {
         assert!(matches!(err, ServeError::Parse(_)));
         assert!(err.to_string().contains("parse"));
         // A rejected parse consumes an admission slot but never runs.
-        assert_eq!(svc.stats().analyses_run, 0);
+        assert_eq!(svc.stats().plan_cache_misses, 0);
     }
 
     #[test]
@@ -1282,8 +1071,8 @@ mod tests {
     fn overload_policy_sheds_with_typed_rejection() {
         let gate = Gate::new(1, 0);
         let first = gate.admit().expect("first admission fits");
-        let err = gate.admit().expect_err("second admission must shed");
-        match err {
+        let shed = gate.admit().expect_err("second admission must shed");
+        match ServeError::from(shed) {
             ServeError::Overloaded { running, waiting } => {
                 assert_eq!(running, 1);
                 assert_eq!(waiting, 0);
@@ -1335,76 +1124,24 @@ mod tests {
     }
 
     #[test]
-    fn forced_engines_agree_with_the_default_service() {
-        let default_svc = service(ServiceConfig::default());
-        // Full-twig queries every decomposition baseline can run; the
-        // service canonicalizes baseline rows into document order, so
-        // compare sorted row sets.
-        let queries = ["//a/b[c]", "//a//b", "//b/c", "//d//c"];
-        for engine in PlanEngine::ALL {
-            let svc = service(ServiceConfig {
-                planner: PlannerMode::Forced(engine),
-                ..ServiceConfig::default()
-            });
-            for q in queries {
-                let expected = default_svc.execute(q).unwrap().sorted();
-                let got = svc.execute(q).unwrap().sorted();
-                assert_eq!(got, expected, "{engine:?} {q}");
-                let d = svc.planned(q).unwrap();
-                assert!(!d.adaptive);
-                assert_eq!(d.engine, engine, "{engine:?} is applicable to {q}");
-            }
-            // A GTP-extension query is outside every baseline's fragment:
-            // the forced service falls back to Twig²Stack and still answers.
-            let gtp_only = "//a/b!/c";
-            assert_eq!(
-                svc.execute(gtp_only).unwrap().sorted(),
-                default_svc.execute(gtp_only).unwrap().sorted(),
-                "{engine:?} fallback"
-            );
-            assert_eq!(
-                svc.planned(gtp_only).unwrap().engine,
-                PlanEngine::Twig2Stack
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_service_matches_the_default_service() {
-        let default_svc = service(ServiceConfig::default());
+    fn every_member_of_a_shed_batch_group_reports_the_gate_counts() {
         let svc = service(ServiceConfig {
-            planner: PlannerMode::Adaptive,
+            max_concurrency: 1,
+            max_waiting: 0,
             ..ServiceConfig::default()
         });
-        for q in ["//a/b[c]", "//a//b", "//b/y", "//a/b[y='2006']", "//a/b!/c"] {
-            assert_eq!(
-                svc.execute(q).unwrap().sorted(),
-                default_svc.execute(q).unwrap().sorted(),
-                "{q}"
+        let held = svc.gate.admit().expect("the only slot");
+        // Two label-set groups: {a, b, c} twice and {d} once.
+        let batch = svc.execute_batch(&["//a/b[c]", "//d", "//a/b[c]"]);
+        for r in &batch {
+            assert!(
+                matches!(r, Err(ServeError::Overloaded { running: 1, waiting: 0 })),
+                "{r:?}"
             );
-            let d = svc.planned(q).unwrap();
-            assert!(d.adaptive);
         }
-        let s = svc.stats();
-        assert_eq!(
-            s.plans_adaptive, s.analyses_run,
-            "every analysis was cost-based"
-        );
-    }
-
-    #[test]
-    fn adaptive_batches_mix_shared_scans_with_singletons() {
-        let svc = service(ServiceConfig {
-            planner: PlannerMode::Adaptive,
-            ..ServiceConfig::default()
-        });
-        let queries = ["//a/b[c]", "//b/c", "//a/b!/c", "//d//c"];
-        let batch = svc.execute_batch(&queries);
-        for (q, r) in queries.iter().zip(&batch) {
-            let gtp = parse_twig(q).unwrap();
-            let expected = twig2stack::evaluate(svc.snapshot().doc(), &gtp).sorted();
-            assert_eq!(r.as_ref().unwrap().clone().sorted(), expected, "{q}");
-        }
+        assert_eq!(svc.stats().queries_rejected, 3);
+        drop(held);
+        assert!(svc.execute_batch(&["//d"])[0].is_ok());
     }
 
     #[test]
@@ -1461,7 +1198,7 @@ mod tests {
             s.queries_rejected, 0,
             "waiters queue; nothing sheds at this load"
         );
-        assert_eq!(s.analyses_run + s.plan_cache_hits, 8 * 20);
+        assert_eq!(s.plan_cache_misses + s.plan_cache_hits, 8 * 20);
         assert!(s.plan_cache_hits >= 8 * 20 - 4 * 8, "most lookups hit");
     }
 
@@ -1623,63 +1360,6 @@ mod tests {
         assert_eq!(s.snapshot_rotations, 0);
         assert_eq!(svc.snapshot().version(), 0);
         assert_eq!(svc.cached_plans(), 1, "the cached plan is still there");
-    }
-
-    /// A document the cost model organically mispredicts: 240 `a`
-    /// siblings (one holding the only `b` reachable as `//a//b`) plus 30
-    /// `b` elements outside any `a`. The leaf stream looks 1 element
-    /// deep (only one *feasible* `b`), internal streams dominate, and
-    /// pruning saves under 1/8 — so the adaptive planner picks TJFast
-    /// with pruning disabled. But an unpruned leaf stream delivers all
-    /// 31 `b`s, 4×+16 over the prediction: a misprediction per run.
-    fn mispredicted_doc() -> Document {
-        let mut xml = String::from("<r><a><b/></a>");
-        xml.push_str(&"<a/>".repeat(239));
-        xml.push_str(&"<b/>".repeat(30));
-        xml.push_str("</r>");
-        xmldom::parse(&xml).unwrap()
-    }
-
-    #[test]
-    fn feedback_loop_replans_after_repeated_mispredictions() {
-        let svc = QueryService::build(
-            mispredicted_doc(),
-            ServiceConfig {
-                planner: PlannerMode::Adaptive,
-                ..ServiceConfig::default()
-            },
-        );
-        let q = "//a//b";
-        let before = svc.planned(q).unwrap();
-        assert_eq!(
-            before.engine,
-            PlanEngine::TJFast,
-            "the mispredicting choice"
-        );
-        assert_eq!(before.predicted_scan, 1, "one feasible leaf predicted");
-        let expected = twig2stack::evaluate(svc.snapshot().doc(), &parse_twig(q).unwrap());
-        // Strikes 1..=REPLAN_AFTER alarm; the third triggers the replan.
-        for i in 1..=3 {
-            assert_eq!(svc.execute(q).unwrap().sorted(), expected.clone().sorted());
-            let s = svc.stats();
-            assert_eq!(s.plan_mispredictions, i, "every TJFast run alarms");
-            assert_eq!(s.plans_replanned, u64::from(i == 3));
-        }
-        // The feedback loop flipped the decision: the measured 31-element
-        // leaf scan, weighted by TJFast's ~16× per-record cost, loses to
-        // the region engine's estimate, and the prediction is recentered
-        // on the full region scan (240 a + 31 b elements).
-        let after = svc.planned(q).unwrap();
-        assert_eq!(after.engine, PlanEngine::Twig2Stack, "decision flipped");
-        assert_eq!(after.predicted_scan, 271);
-        // The corrected plan answers identically and stops alarming.
-        assert_eq!(svc.execute(q).unwrap().sorted(), expected.sorted());
-        let s = svc.stats();
-        assert_eq!(
-            s.plan_mispredictions, 3,
-            "the replacement plan is in tolerance"
-        );
-        assert_eq!(s.plans_replanned, 1, "strikes reset with the new plan");
     }
 
     #[test]
