@@ -102,6 +102,13 @@ impl EvalContext {
     pub fn pooled_stacks(&self) -> usize {
         self.stacks.len()
     }
+
+    /// Number of pooled buffers: the pooled stacks' spare element and
+    /// child-list buffers plus the scratch edge buffers (diagnostics /
+    /// tests). Repeating a query must leave it flat.
+    pub fn pooled_buffers(&self) -> usize {
+        self.stacks.iter().map(HierStack::spare_buffers).sum::<usize>() + self.scratch.len()
+    }
 }
 
 #[cfg(test)]

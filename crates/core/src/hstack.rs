@@ -97,10 +97,11 @@ pub struct HierStack {
     /// Total elements ever pushed (statistics).
     pushed: usize,
     /// Recycled element buffers from cleared / truncated stack nodes, so
-    /// hot-path node allocation reuses capacity instead of hitting the
-    /// allocator (drawn on by [`Self::alloc_node`]).
+    /// the hot path reuses capacity instead of hitting the allocator
+    /// (drawn on by the first [`Self::push`] into a node). Only buffers
+    /// that own capacity are pooled (see [`pool_buffer`]).
     spare_elems: Vec<Vec<StackElem>>,
-    /// Recycled child-list buffers, same purpose.
+    /// Recycled child-list buffers, drawn on by merges.
     spare_children: Vec<Vec<SId>>,
 }
 
@@ -140,6 +141,11 @@ impl HierStack {
         self.pushed
     }
 
+    /// Buffers waiting in the spare pools (diagnostics / tests).
+    pub(crate) fn spare_buffers(&self) -> usize {
+        self.spare_elems.len() + self.spare_children.len()
+    }
+
     /// Number of arena slots (live and dead) — the id offset a spliced
     /// stack's nodes shift by.
     pub(crate) fn node_count(&self) -> usize {
@@ -161,12 +167,8 @@ impl HierStack {
     /// reused stack allocates nothing while re-growing to its former size.
     pub fn clear(&mut self) {
         for n in &mut self.nodes {
-            let mut elems = std::mem::take(&mut n.elems);
-            elems.clear();
-            self.spare_elems.push(elems);
-            let mut children = std::mem::take(&mut n.children);
-            children.clear();
-            self.spare_children.push(children);
+            pool_buffer(&mut self.spare_elems, std::mem::take(&mut n.elems));
+            pool_buffer(&mut self.spare_children, std::mem::take(&mut n.children));
         }
         self.nodes.clear();
         self.roots.clear();
@@ -241,6 +243,9 @@ impl HierStack {
         let edge_count: usize = edges.total_edges();
         self.live_bytes += ELEM_BYTES + edge_count * EDGE_BYTES;
         let tnode = &mut self.nodes[target.index()];
+        if tnode.elems.capacity() == 0 {
+            tnode.elems = self.spare_elems.pop().unwrap_or_default();
+        }
         tnode.left = tnode.left.min(region.left);
         tnode.right = tnode.right.max(region.right);
         if self.existence_only {
@@ -298,16 +303,12 @@ impl HierStack {
                 // Leave the arena slot in place (ids must stay stable) but
                 // recycle its heap payload. Its child list is always empty
                 // in existence mode (merges never assign children here).
-                let mut elems = std::mem::take(&mut self.nodes[c.index()].elems);
-                elems.clear();
-                self.spare_elems.push(elems);
+                let elems = std::mem::take(&mut self.nodes[c.index()].elems);
+                pool_buffer(&mut self.spare_elems, elems);
             }
-            children.clear();
-            self.spare_children.push(children);
+            pool_buffer(&mut self.spare_children, children);
         } else {
-            let unused =
-                std::mem::replace(&mut self.nodes[merged.index()].children, children);
-            self.spare_children.push(unused);
+            self.nodes[merged.index()].children = children;
         }
         self.roots.push(merged);
     }
@@ -350,13 +351,17 @@ impl HierStack {
         self.spare_children.extend(other.spare_children);
     }
 
+    /// A new, empty stack node. It takes pooled buffers only when it
+    /// first needs one (a push or a merge), so a node that never holds an
+    /// element cannot pin a pooled buffer another node then has to
+    /// allocate afresh.
     fn alloc_node(&mut self, left: u32, right: u32) -> SId {
         let id = SId(self.nodes.len() as u32);
         self.nodes.push(StackNode {
             left,
             right,
-            elems: self.spare_elems.pop().unwrap_or_default(),
-            children: self.spare_children.pop().unwrap_or_default(),
+            elems: Vec::new(),
+            children: Vec::new(),
         });
         self.live_bytes += STACK_NODE_BYTES;
         id
@@ -444,6 +449,17 @@ impl HierStack {
             assert!(n.left <= cn.left && cn.right <= n.right, "span must cover children");
             self.check_node(c);
         }
+    }
+}
+
+/// Return `buf` to `pool` if it owns capacity. An empty buffer (a slot an
+/// existence-mode merge already emptied, or a node that never held an
+/// element) saves no allocation, and pooling it would grow the pool by one
+/// entry per such slot on every reuse of the stack.
+fn pool_buffer<T>(pool: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
+    if buf.capacity() > 0 {
+        buf.clear();
+        pool.push(buf);
     }
 }
 

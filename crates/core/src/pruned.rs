@@ -13,6 +13,13 @@
 //! * gallops (skip-scan) past document regions that no candidate root
 //!   element spans, using the feasibility root cover.
 //!
+//! A pruned plan also probes the query's required `='…'` predicates
+//! ([`Gtp::required_equalities`]): at match time the one with the fewest
+//! hits in the document's text postings ([`Document::elements_with_text`])
+//! narrows the cover to the regions of its hits' root-label
+//! ancestors-or-self, so a lookup reads only the records that hold the
+//! value.
+//!
 //! The plan is an owned, document-lifetime-free value, so callers that
 //! evaluate the same query repeatedly (the `twigserve` plan cache) compute
 //! it once and reuse it across requests.
@@ -35,7 +42,11 @@
 //! element that participates in or witnesses a result, so pruning removes
 //! only provably-irrelevant elements and the outcome is byte-identical to
 //! the unpruned evaluation (enforced by the `pruned_vs_unpruned` fuzz
-//! invariant). A query node whose feasible set is empty can never be
+//! invariant). The probe's cover is sound too: every match binds each
+//! required node to an element whose text equals the value, and binds the
+//! root to an ancestor-or-self of that element, so every element of the
+//! match lies inside the region of some root-label ancestor-or-self of a
+//! hit. A query node whose feasible set is empty can never be
 //! satisfied; if it is mandatory the whole query is unsatisfiable and
 //! evaluation short-circuits **without reading a single stream element**.
 //! The same over-approximation argument makes the shared-scan batch driver
@@ -47,7 +58,7 @@
 use crate::context::EvalContext;
 use crate::enumerate::enumerate;
 use crate::matcher::{MatchOptions, MatchStats, Matcher, TwigMatch};
-use gtpquery::{CancelToken, Gtp, LabelDispatch, QueryError, ResultSet, SummaryFeasibility};
+use gtpquery::{CancelToken, Gtp, LabelDispatch, QNodeId, QueryError, ResultSet, SummaryFeasibility};
 use xmldom::{Document, Label, LabelTable, NodeId, Region};
 use xmlindex::{
     filter_worthwhile, ElemStream, IndexView, PruningPolicy, RegionCover, SummarySet,
@@ -62,12 +73,16 @@ pub struct IndexedPlan {
     unsatisfiable: bool,
     streams: Vec<(Label, Option<SummarySet>)>,
     cover: Option<RegionCover>,
+    /// Whether matching probes the text postings of the query's required
+    /// `='…'` predicates (pruned, satisfiable plans only).
+    probe: bool,
 }
 
 impl IndexedPlan {
     /// Analyze `gtp` against `index`'s path summary and build the stream
     /// plan. With [`PruningPolicy::Disabled`] the plan still lists the
-    /// labels to scan but carries no filters or cover (the A/B baseline).
+    /// labels to scan but carries no filters, cover or value probe (the
+    /// A/B baseline).
     pub fn compute<I: IndexView>(
         gtp: &Gtp,
         index: &I,
@@ -111,7 +126,8 @@ impl IndexedPlan {
                 (l, filter)
             })
             .collect();
-        IndexedPlan { unsatisfiable, streams, cover }
+        let probe = cover.is_some() && !gtp.required_equalities().is_empty();
+        IndexedPlan { unsatisfiable, streams, cover, probe }
     }
 
     /// True iff some mandatory query node has no feasible root-to-node
@@ -172,15 +188,68 @@ pub fn try_match_indexed<'g, I: IndexView>(
     if plan.unsatisfiable {
         return Ok(matcher.finish_into(&mut *ctx));
     }
+    let probed = match &plan.cover {
+        Some(summary_cover) if plan.probe => {
+            let cover = probe_cover(doc, gtp).intersect(summary_cover);
+            if cover.is_empty() {
+                // No candidate root holds the probed value: nothing can
+                // match, and no posting is read.
+                return Ok(matcher.finish_into(&mut *ctx));
+            }
+            Some(cover)
+        }
+        _ => None,
+    };
+    let cover = probed.as_ref().or(plan.cover.as_ref());
     let streams: Vec<_> = plan
         .streams
         .iter()
-        .map(|(l, filter)| index.pruned_stream(*l, filter.as_ref(), plan.cover.as_ref()))
+        .map(|(l, filter)| index.pruned_stream(*l, filter.as_ref(), cover))
         .collect();
     let mut matchers = [matcher];
     try_drive(&mut matchers, plan.labels(), streams, cancel)?;
     let [matcher] = matchers;
     Ok(matcher.finish_into(&mut *ctx))
+}
+
+/// The value probe: the regions of the topmost root-label ancestor-or-self
+/// of each element that the most selective required `='…'` node of `gtp`
+/// accepts. Every match lies inside one of them.
+fn probe_cover(doc: &Document, gtp: &Gtp) -> RegionCover {
+    let accepts = |q: QNodeId, n: NodeId| gtp.test(q).matches(doc.tag_name(n));
+    let hits = gtp
+        .required_equalities()
+        .into_iter()
+        .map(|(q, value)| {
+            let mut hits = doc.elements_with_text(value);
+            hits.retain(|&n| accepts(q, n));
+            hits
+        })
+        .min_by_key(Vec::len)
+        .unwrap_or_default();
+    let root = gtp.root();
+    let is_root = |n: NodeId| accepts(root, n) && (!gtp.is_rooted() || doc.region(n).level == 1);
+    let mut spans: Vec<(u32, u32)> = Vec::new();
+    for h in hits {
+        // Hits come in document order, so a hit inside the last span has
+        // that span's root as its topmost root ancestor too.
+        if spans.last().is_some_and(|&(_, right)| doc.region(h).left < right) {
+            continue;
+        }
+        let mut top = None;
+        let mut cur = Some(h);
+        while let Some(n) = cur {
+            if is_root(n) {
+                top = Some(n);
+            }
+            cur = doc.parent(n);
+        }
+        if let Some(t) = top {
+            let r = doc.region(t);
+            spans.push((r.left, r.right));
+        }
+    }
+    RegionCover::from_spans(spans)
 }
 
 /// Drive the matcher from caller-supplied per-label streams — the entry
@@ -404,6 +473,44 @@ mod tests {
             evaluate_indexed(&doc, &index, &gtp2, PruningPolicy::Enabled),
             evaluate(&doc, &gtp2)
         );
+    }
+
+    #[test]
+    fn equality_probe_reads_only_records_holding_the_value() {
+        let xml = "<r><p><a>x</a><t/></p><p><a>y</a><t/></p>\
+                   <p><a> x </a><a>z</a><t/><t/></p><q><p><a>x</a></p></q></r>";
+        let doc = parse(xml).unwrap();
+        let index = ElementIndex::build(&doc);
+        for q in [
+            "//p[a='x']/t",
+            "//p[?a='x']/t",
+            "//p[a='x' or a='y']/t",
+            "//p[a~'x']/t",
+            "//*[a='x']/t",
+            "//a='x'",
+            "/r[.//a='x']//t",
+            "//p[a='x'][a='z']/t",
+            "//p[a='nope']/t",
+        ] {
+            let gtp = parse_twig(q).unwrap();
+            let expected = evaluate(&doc, &gtp);
+            for policy in [PruningPolicy::Enabled, PruningPolicy::Disabled] {
+                let got = evaluate_indexed(&doc, &index, &gtp, policy);
+                assert_eq!(got, expected, "{q} {policy:?}");
+            }
+        }
+        let considered = |q: &str, policy| {
+            let gtp = parse_twig(q).unwrap();
+            let opts = MatchOptions::default();
+            match_indexed(&doc, &index, &gtp, opts, policy).1.elements_considered
+        };
+        // The two /r/p records holding "x" (p, a, t: 3 + 5), not all 13
+        // p/a/t elements; the summary filter drops the third, whose path
+        // has no t. The two-predicate lookup probes the rarer "z".
+        assert_eq!(considered("//p[a='x']/t", PruningPolicy::Disabled), 13);
+        assert_eq!(considered("//p[a='x']/t", PruningPolicy::Enabled), 8);
+        assert_eq!(considered("//p[a='x'][a='z']/t", PruningPolicy::Enabled), 5);
+        assert_eq!(considered("//p[a='nope']/t", PruningPolicy::Enabled), 0);
     }
 
     #[test]

@@ -491,6 +491,26 @@ impl RegionCover {
         RegionCover { spans: merged }
     }
 
+    /// The spans both covers contain: a position lies in the result iff it
+    /// lies in a span of `self` and in a span of `other`.
+    pub fn intersect(&self, other: &RegionCover) -> RegionCover {
+        let (a, b) = (&self.spans, &other.spans);
+        let (mut i, mut j) = (0, 0);
+        let mut spans = Vec::new();
+        while i < a.len() && j < b.len() {
+            let (left, right) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
+            if left <= right {
+                spans.push((left, right));
+            }
+            if a[i].1 < b[j].1 {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        RegionCover { spans }
+    }
+
     /// The top-level spans, in document order.
     pub fn spans(&self) -> &[(u32, u32)] {
         &self.spans
@@ -619,6 +639,16 @@ mod tests {
         let cover = RegionCover::from_spans(vec![(20, 70), (1, 10), (5, 30), (80, 90)]);
         assert_eq!(cover.spans(), &[(1, 70), (80, 90)]);
         assert!(RegionCover::from_spans(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn region_cover_intersection_keeps_common_positions() {
+        let a = RegionCover::from_spans(vec![(1, 10), (20, 30), (40, 50)]);
+        let b = RegionCover::from_spans(vec![(5, 25), (30, 45), (60, 70)]);
+        assert_eq!(a.intersect(&b).spans(), &[(5, 10), (20, 25), (30, 30), (40, 45)]);
+        assert_eq!(b.intersect(&a), a.intersect(&b));
+        assert!(a.intersect(&RegionCover::default()).is_empty());
+        assert_eq!(a.intersect(&a), a);
     }
 
     #[test]

@@ -115,7 +115,10 @@ impl QueryEstimate {
     }
 }
 
-/// The pruning rule: prune when the summary predicts pruning saves at
+/// The pruning rule: prune when the query has a required `='…'`
+/// predicate ([`Gtp::required_equalities`]: only a pruned plan probes the
+/// document's text postings for it, and the probe reads just the records
+/// that hold the value), or when the summary predicts pruning saves at
 /// least 1/8 of the full scan (or proves the query unsatisfiable, which
 /// short-circuits every stream). The feasibility sets are computed either
 /// way, so the *runtime* overhead pruning must earn back is the
@@ -126,6 +129,9 @@ impl QueryEstimate {
 /// Both services call this once per plan: `QueryService` per plan-cache
 /// miss, `CatalogService` once per (query, schema).
 pub fn pruning_policy(gtp: &Gtp, summary: SummaryRef<'_>, labels: &LabelTable) -> PruningPolicy {
+    if !gtp.required_equalities().is_empty() {
+        return PruningPolicy::Enabled;
+    }
     let est = QueryEstimate::compute(gtp, summary, labels);
     if est.unsatisfiable || est.scan_full.saturating_sub(est.scan_pruned) * 8 >= est.scan_full {
         PruningPolicy::Enabled
@@ -185,6 +191,24 @@ mod tests {
             PruningPolicy::Enabled,
             "short-circuiting is free and total"
         );
+    }
+
+    #[test]
+    fn required_equality_lookups_always_prune() {
+        // The summary alone would disable pruning here (every b sits under
+        // the only a); a required `='…'` predicate enables it so the plan
+        // probes the text postings. Optional and OR-grouped ones do not.
+        let (doc, summary) = setup("<a><b>x</b><b>y</b><b/></a>");
+        for (q, policy) in [
+            ("//a/b='x'", PruningPolicy::Enabled),
+            ("//a[b='x']", PruningPolicy::Enabled),
+            ("//a[?b='x']", PruningPolicy::Disabled),
+            ("//a[b='x' or b='y']", PruningPolicy::Disabled),
+            ("//a/b~'x'", PruningPolicy::Disabled),
+        ] {
+            let gtp = parse_twig(q).unwrap();
+            assert_eq!(pruning_policy(&gtp, summary.view(), doc.labels()), policy, "{q}");
+        }
     }
 
     #[test]

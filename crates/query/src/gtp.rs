@@ -382,29 +382,17 @@ impl Gtp {
         self.nodes.iter().any(|n| n.test == NodeTest::Wildcard)
     }
 
-    /// Label names a document **must** contain to produce any match —
-    /// the zero-false-negative routing set for multi-document catalogs.
+    /// Query nodes every match binds, in pre-order: the root, and each
+    /// node whose root path has only solid (non-optional) edges and
+    /// passes through no multi-member OR-group (an OR member can be
+    /// absent as long as a sibling alternative matches).
     ///
-    /// A query node is *mandatory* when every edge on its root path is
-    /// solid (non-optional) and no node on that path sits in a
-    /// multi-member OR-group (an OR member can be absent as long as a
-    /// sibling alternative matches). Every mandatory node with a name
-    /// test must bind to some element, so its label must exist in the
-    /// document; optional/OR branches and wildcards contribute nothing.
-    /// Value predicates are irrelevant here — the element's *presence*
-    /// is still required even if its text decides the match.
-    ///
-    /// The result is sorted and deduplicated, like [`Self::label_names`].
-    ///
-    /// The set can legitimately be **empty** — e.g. `//*`, `//*/*`, or a
-    /// named query whose every name sits behind an optional edge or
-    /// OR-group. Empty means "no routing evidence", not "matches
-    /// nothing": consumers (`twigserve::catalog` routing) must treat it
-    /// as route-everywhere.
-    pub fn required_label_names(&self) -> Vec<&str> {
+    /// This is the one definition of "required" that catalog routing
+    /// ([`Self::required_label_names`]) and the value probe
+    /// ([`Self::required_equalities`]) share.
+    pub fn required_nodes(&self) -> Vec<QNodeId> {
         let mut mandatory = vec![false; self.len()];
-        mandatory[self.root().index()] = true;
-        let mut names: Vec<&str> = Vec::new();
+        let mut out = Vec::new();
         for q in self.preorder() {
             let on_solid_path = match self.parent(q) {
                 None => true,
@@ -419,14 +407,55 @@ impl Gtp {
             };
             mandatory[q.index()] = on_solid_path;
             if on_solid_path {
-                if let NodeTest::Name(n) = self.test(q) {
-                    names.push(n.as_str());
-                }
+                out.push(q);
             }
         }
+        out
+    }
+
+    /// Label names a document **must** contain to produce any match —
+    /// the zero-false-negative routing set for multi-document catalogs.
+    ///
+    /// Every [required](Self::required_nodes) node with a name test must
+    /// bind to some element, so its label must exist in the document;
+    /// optional/OR branches and wildcards contribute nothing. Value
+    /// predicates are irrelevant here — the element's *presence* is still
+    /// required even if its text decides the match.
+    ///
+    /// The result is sorted and deduplicated, like [`Self::label_names`].
+    ///
+    /// The set can legitimately be **empty** — e.g. `//*`, `//*/*`, or a
+    /// named query whose every name sits behind an optional edge or
+    /// OR-group. Empty means "no routing evidence", not "matches
+    /// nothing": consumers (`twigserve::catalog` routing) must treat it
+    /// as route-everywhere.
+    pub fn required_label_names(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self
+            .required_nodes()
+            .into_iter()
+            .filter_map(|q| match self.test(q) {
+                NodeTest::Name(n) => Some(n.as_str()),
+                NodeTest::Wildcard => None,
+            })
+            .collect();
         names.sort_unstable();
         names.dedup();
         names
+    }
+
+    /// The [required](Self::required_nodes) nodes carrying a `='…'`
+    /// predicate, with its value: every match binds each of them to an
+    /// element whose trimmed text equals the value, so each one's
+    /// postings bound where a match can lie (the value probe, DESIGN.md
+    /// §11). `~'…'` predicates are not listed.
+    pub fn required_equalities(&self) -> Vec<(QNodeId, &str)> {
+        self.required_nodes()
+            .into_iter()
+            .filter_map(|q| match self.value_pred(q) {
+                Some(ValuePred::TextEquals(v)) => Some((q, v.as_str())),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -743,6 +772,23 @@ mod tests {
         b.add(w, "d", Axis::Child, false, Role::NonReturn);
         let g = b.build();
         assert_eq!(g.required_label_names(), vec!["a", "d"]);
+    }
+
+    #[test]
+    fn required_equalities_follow_the_required_rule() {
+        let eqs = |q: &str| -> Vec<String> {
+            let g = crate::parse_twig(q).unwrap();
+            g.required_equalities().into_iter().map(|(_, v)| v.to_string()).collect()
+        };
+        assert_eq!(eqs("//a[b='x']/c"), ["x"]);
+        assert_eq!(eqs("//a='x'/c"), ["x"]);
+        assert_eq!(eqs("//a[b='x'][.//c/d='y']"), ["x", "y"]);
+        // Optional edges, OR-group members and their subtrees, and
+        // containment predicates are not required equalities.
+        assert!(eqs("//a[?b='x']/c").is_empty());
+        assert!(eqs("//a/?b[c='x']").is_empty());
+        assert!(eqs("//a[b='x' or c='y']").is_empty());
+        assert!(eqs("//a[b~'x']").is_empty());
     }
 
     #[test]

@@ -56,16 +56,23 @@ impl std::error::Error for QueryParseError {}
 
 /// Parse `input` into a [`Gtp`].
 pub fn parse_twig(input: &str) -> Result<Gtp, QueryParseError> {
-    Parser { input: input.as_bytes(), pos: 0 }.parse()
+    Parser { input: input.as_bytes(), pos: 0, depths: vec![0] }.parse()
 }
 
-/// Deepest predicate nesting the parser accepts (`//a[b[c]]` is 2 deep);
-/// deeper input is a [`QueryParseError`], never a stack overflow.
-const MAX_PRED_DEPTH: usize = 256;
+/// Deepest query node the parser accepts, in edges below the root. Spine
+/// steps and predicate nesting both count (`//a/b[c]` and `//a[b[c]]` are
+/// each 2 deep), so deeper input is a [`QueryParseError`], never a stack
+/// overflow in the parser or in any walk over the query tree; and every
+/// accepted query's canonical form ([`crate::serialize()`], which nests
+/// each step as a predicate) parses again.
+const MAX_QUERY_DEPTH: usize = 256;
 
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Depth (edges below the root) of each query node built so far, by
+    /// node index.
+    depths: Vec<usize>,
 }
 
 #[derive(Clone, Copy)]
@@ -115,8 +122,8 @@ impl<'a> Parser<'a> {
         if let Some(role) = marker {
             builder.role(root, role);
         }
-        self.parse_preds(&mut builder, root, 0)?;
-        self.parse_tail(&mut builder, root, 0)?;
+        self.parse_preds(&mut builder, root)?;
+        self.parse_tail(&mut builder, root)?;
         self.skip_ws();
         if self.pos != self.input.len() {
             return Err(self.err("trailing characters after query"));
@@ -124,20 +131,18 @@ impl<'a> Parser<'a> {
         Ok(builder.build())
     }
 
-    /// Parse `( edge step )*` continuing from `node`, `depth` predicates
-    /// deep.
+    /// Parse `( edge step )*` continuing from `node`.
     fn parse_tail(
         &mut self,
         builder: &mut GtpBuilder,
         mut node: QNodeId,
-        depth: usize,
     ) -> Result<(), QueryParseError> {
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'/') => {
                     let edge = self.parse_edge()?;
-                    node = self.parse_step(builder, node, edge, depth)?;
+                    node = self.parse_step(builder, node, edge)?;
                 }
                 _ => return Ok(()),
             }
@@ -154,22 +159,32 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse one step (name, marker, predicates) attached below `parent`.
+    ///
+    /// Predicates are the parser's only recursion, and every level of it
+    /// passes through here one edge deeper, so refusing a step past
+    /// [`MAX_QUERY_DEPTH`] before descending bounds the stack use for any
+    /// input.
     fn parse_step(
         &mut self,
         builder: &mut GtpBuilder,
         parent: QNodeId,
         edge: ParsedEdge,
-        depth: usize,
     ) -> Result<QNodeId, QueryParseError> {
+        let depth = self.depths[parent.index()] + 1;
+        if depth > MAX_QUERY_DEPTH {
+            return Err(self.err("query nesting too deep"));
+        }
         let (name, marker) = self.parse_name_marker()?;
         let pred = self.parse_value_pred()?;
         let role = marker.or(if pred.is_some() { self.reparse_marker() } else { None })
             .unwrap_or(Role::Return);
         let node = builder.add(parent, &name, edge.axis, edge.optional, role);
+        debug_assert_eq!(node.index(), self.depths.len(), "ids follow insertion order");
+        self.depths.push(depth);
         if let Some(p) = pred {
             builder.value_pred(node, p);
         }
-        self.parse_preds(builder, node, depth)?;
+        self.parse_preds(builder, node)?;
         Ok(node)
     }
 
@@ -214,13 +229,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parse the predicates of `node`, which sits `depth` predicates
-    /// deep; the steps inside them sit one level deeper.
+    /// Parse the predicates of `node`.
     fn parse_preds(
         &mut self,
         builder: &mut GtpBuilder,
         node: QNodeId,
-        depth: usize,
     ) -> Result<(), QueryParseError> {
         loop {
             self.skip_ws();
@@ -231,7 +244,7 @@ impl<'a> Parser<'a> {
             let mut alternative_heads = Vec::new();
             let nodes_before = builder.node_count();
             loop {
-                let head = self.parse_pred_alternative(builder, node, depth + 1)?;
+                let head = self.parse_pred_alternative(builder, node)?;
                 alternative_heads.push(head);
                 self.skip_ws();
                 if !self.eat_keyword(b"or") {
@@ -253,20 +266,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// One predicate alternative: `predhead step (edge step)*`, `depth`
-    /// predicates deep. Returns the alternative's first (top) node.
-    ///
-    /// Predicates are the parser's only recursion, so refusing to nest
-    /// past [`MAX_PRED_DEPTH`] here bounds its stack use for any input.
+    /// One predicate alternative: `predhead step (edge step)*`. Returns
+    /// the alternative's first (top) node.
     fn parse_pred_alternative(
         &mut self,
         builder: &mut GtpBuilder,
         node: QNodeId,
-        depth: usize,
     ) -> Result<QNodeId, QueryParseError> {
-        if depth > MAX_PRED_DEPTH {
-            return Err(self.err("query nesting too deep"));
-        }
         self.skip_ws();
         let mut optional = self.eat(b'?');
         let mut axis = Axis::Child;
@@ -284,8 +290,8 @@ impl<'a> Parser<'a> {
             optional |= e.optional;
         }
         let edge = ParsedEdge { axis, optional };
-        let first = self.parse_step(builder, node, edge, depth)?;
-        self.parse_tail(builder, first, depth)?;
+        let first = self.parse_step(builder, node, edge)?;
+        self.parse_tail(builder, first)?;
         Ok(first)
     }
 
@@ -474,17 +480,41 @@ mod tests {
 
     #[test]
     fn predicate_nesting_is_bounded() {
-        assert_eq!(parse_twig(&nested(MAX_PRED_DEPTH)).unwrap().len(), MAX_PRED_DEPTH + 1);
-        let err = parse_twig(&nested(MAX_PRED_DEPTH + 1)).unwrap_err();
+        assert_eq!(parse_twig(&nested(MAX_QUERY_DEPTH)).unwrap().len(), MAX_QUERY_DEPTH + 1);
+        let err = parse_twig(&nested(MAX_QUERY_DEPTH + 1)).unwrap_err();
         assert!(err.message.contains("too deep"), "{err}");
         // Far past the limit the parser stops right after the first
         // bracket too many instead of recursing into the rest.
         let err = parse_twig(&nested(40_000)).unwrap_err();
-        assert_eq!(err.offset, "//a".len() + "[b".len() * MAX_PRED_DEPTH + "[".len());
-        // OR alternatives and spine steps inside predicates count once
-        // per bracket, not per step.
-        let wide = format!("//a{}{}", "[x/y or b".repeat(MAX_PRED_DEPTH), "]".repeat(MAX_PRED_DEPTH));
-        assert!(parse_twig(&wide).is_ok());
+        assert_eq!(err.offset, "//a".len() + "[b".len() * MAX_QUERY_DEPTH + "[".len());
+        // OR alternatives add no depth; a spine step inside a predicate
+        // adds one, so `y` below the deepest `x` must stay within the limit.
+        let wide =
+            |levels: usize| format!("//a{}{}", "[x/y or b".repeat(levels), "]".repeat(levels));
+        assert!(parse_twig(&wide(MAX_QUERY_DEPTH - 1)).is_ok());
+        assert!(parse_twig(&wide(MAX_QUERY_DEPTH)).is_err());
+    }
+
+    /// `//a/a/…/a` with `steps` steps.
+    fn path(steps: usize) -> String {
+        "//a".to_string() + &"/a".repeat(steps - 1)
+    }
+
+    #[test]
+    fn spine_depth_is_bounded_and_round_trips() {
+        // The deepest accepted path: its last node is 256 edges down, and
+        // its canonical form nests 256 brackets, which parses again.
+        let g = parse_twig(&path(MAX_QUERY_DEPTH + 1)).unwrap();
+        let canonical = crate::serialize(&g);
+        assert_eq!(canonical.matches('[').count(), MAX_QUERY_DEPTH);
+        assert!(crate::structurally_equal(&g, &parse_twig(&canonical).unwrap()));
+        // One step more is refused, at the step too many.
+        let err = parse_twig(&path(MAX_QUERY_DEPTH + 2)).unwrap_err();
+        assert!(err.message.contains("too deep"), "{err}");
+        assert_eq!(err.offset, path(MAX_QUERY_DEPTH + 1).len() + "/".len());
+        // Spine and predicate depth add up.
+        assert!(parse_twig(&format!("{}[b]", path(MAX_QUERY_DEPTH))).is_ok());
+        assert!(parse_twig(&format!("{}[b]", path(MAX_QUERY_DEPTH + 1))).is_err());
     }
 
     #[test]

@@ -987,6 +987,21 @@ mod tests {
     }
 
     #[test]
+    fn flat_path_past_the_depth_limit_is_a_parse_error_on_a_default_stack() {
+        // 100,000 spine steps: building the plan-cache key would recurse
+        // once per step, so the parser's depth limit must refuse the query
+        // first, on a thread with the platform's default 2 MiB.
+        let q = "//a".to_string() + &"/a".repeat(99_999);
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || service(ServiceConfig::default()).execute(&q).map(|rs| rs.len()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(matches!(outcome, Err(ServeError::Parse(_))), "{outcome:?}");
+    }
+
+    #[test]
     fn second_request_hits_the_plan_cache() {
         let svc = service(ServiceConfig::default());
         let a = svc.execute("//a/b[c]").unwrap();

@@ -10,6 +10,8 @@ use crate::label::{Label, LabelTable};
 use crate::region::Region;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::OnceLock;
 
 /// Dense identifier of an element node within one [`Document`].
 ///
@@ -65,6 +67,10 @@ pub struct Document {
     pub(crate) text: HashMap<u32, String>,
     /// Attributes per node, only for nodes that have any.
     pub(crate) attrs: HashMap<u32, Vec<(String, String)>>,
+    /// Equality postings over `text`, built by the first
+    /// [`Document::elements_with_text`] call. A document is immutable once
+    /// built (edits produce a new one), so the postings never go stale.
+    pub(crate) text_postings: OnceLock<TextPostings>,
 }
 
 impl Document {
@@ -149,6 +155,24 @@ impl Document {
         self.text.get(&(node.index() as u32)).map(String::as_str)
     }
 
+    /// The elements whose direct text, trimmed, equals `value` — exactly
+    /// the elements a `='value'` predicate accepts — in document order.
+    ///
+    /// The first call builds a text-postings index (one sort over every
+    /// text node, 8 bytes each); later calls binary-search it and read only
+    /// the texts whose hash matches.
+    pub fn elements_with_text(&self, value: &str) -> Vec<NodeId> {
+        let postings = self
+            .text_postings
+            .get_or_init(|| TextPostings::build(&self.text));
+        postings
+            .candidates(value)
+            // The hash only narrows the search: recheck the stored text.
+            .filter(|n| self.text[n].trim() == value)
+            .map(NodeId)
+            .collect()
+    }
+
     /// Attributes of `node` in source order.
     pub fn attributes(&self, node: NodeId) -> &[(String, String)] {
         self.attrs
@@ -194,6 +218,49 @@ impl Document {
         }
         (max, sum as f64 / self.nodes.len() as f64)
     }
+}
+
+/// `hash of trimmed text << 32 | node` for every node with text, sorted, so
+/// the nodes sharing a hash are one run in ascending (document) order.
+/// The hash is keyed per document, so no text can be crafted to collide;
+/// a collision costs a text comparison, never a wrong answer.
+#[derive(Clone)]
+pub(crate) struct TextPostings {
+    keys: RandomState,
+    postings: Vec<u64>,
+}
+
+impl TextPostings {
+    fn build(text: &HashMap<u32, String>) -> Self {
+        let keys = RandomState::new();
+        let mut postings: Vec<u64> = text
+            .iter()
+            .map(|(&n, t)| u64::from(hash32(&keys, t.trim())) << 32 | u64::from(n))
+            .collect();
+        postings.sort_unstable();
+        TextPostings { keys, postings }
+    }
+
+    /// The nodes whose trimmed text may equal `value`, ascending.
+    fn candidates(&self, value: &str) -> impl Iterator<Item = u32> + '_ {
+        let key = hash32(&self.keys, value);
+        let start = self.postings.partition_point(|&p| ((p >> 32) as u32) < key);
+        self.postings[start..]
+            .iter()
+            .take_while(move |&&p| (p >> 32) as u32 == key)
+            .map(|&p| p as u32)
+    }
+}
+
+impl fmt::Debug for TextPostings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TextPostings({} nodes)", self.postings.len())
+    }
+}
+
+/// 32 bits of a keyed hash: half the bytes of a 64-bit key per posting.
+fn hash32(keys: &RandomState, text: &str) -> u32 {
+    (keys.hash_one(text) >> 32) as u32
 }
 
 #[inline]
@@ -494,6 +561,33 @@ mod tests {
 
         let b3 = DocumentBuilder::new();
         assert!(matches!(b3.finish(), Err(BuildError::Unfinished)));
+    }
+
+    #[test]
+    fn elements_with_text_matches_the_equality_predicate() {
+        let mut b = DocumentBuilder::new();
+        b.start_element("r").unwrap();
+        let leaves = [("a", "x"), ("b", " x\n"), ("a", "xy"), ("c", ""), ("a", "x"), ("d", "  ")];
+        for (name, text) in leaves {
+            b.leaf(name, text).unwrap();
+        }
+        b.end_element().unwrap();
+        let doc = b.finish().unwrap();
+        let ids = |v: &str| -> Vec<usize> {
+            doc.elements_with_text(v).into_iter().map(NodeId::index).collect()
+        };
+        // Trimmed equality, document order, any label.
+        assert_eq!(ids("x"), vec![1, 2, 5]);
+        assert_eq!(ids("xy"), vec![3]);
+        // Whitespace-only text trims to ""; an element without text never
+        // matches.
+        assert_eq!(ids(""), vec![6]);
+        // A value with surrounding whitespace can never equal trimmed text.
+        assert!(ids(" x").is_empty());
+        assert!(ids("missing").is_empty());
+        // Every text node is one posting; clones carry them along.
+        assert_eq!(doc.text_postings.get().map(|p| p.postings.len()), Some(5));
+        assert_eq!(doc.clone().elements_with_text("x").len(), 3);
     }
 
     #[test]

@@ -364,6 +364,7 @@ fn rebuild(doc: &Document, splice: &Splice<'_>, numbering: Numbering) -> Documen
         labels: doc.labels.clone(),
         text: Default::default(),
         attrs: Default::default(),
+        text_postings: Default::default(),
     };
     let (mut alloc, mut counter, renumber) = match numbering {
         Numbering::Keep(positions) => (positions.into_iter(), 0u32, false),
