@@ -111,9 +111,8 @@ fn main() {
         let (_, report) = twigbench::fige(profile);
         println!("{report}");
         // Named "edits": the sidecar carries the edit-path counters
-        // (edits_applied, snapshot_rotations, renumber_events,
-        // edit_elements_reindexed, plan_cache_invalidations) next to the
-        // engine counters.
+        // (edits_applied, snapshot_rotations, plan_cache_invalidations)
+        // next to the engine counters.
         emit_sidecar("edits", profile);
     }
     if wants("figM") {

@@ -22,12 +22,11 @@
 //!
 //! [`generate`] draws a script from a seeded RNG by *simulating* it on a
 //! clone of the document, so every emitted op is applicable at its step.
-//! It deliberately steers into the edges the incremental index
-//! maintenance has to survive: root-adjacent targets, deleting the root
-//! (and reviving the empty document), repeated same-gap inserts that
-//! exhaust the stride budget and force a renumber, and occasional
-//! fresh labels that force the index's rebuild fallback. [`derive_script`]
-//! fixes the seed as a hash of the (document, query) pair, making the
+//! It deliberately steers into the edges where an edited document could
+//! drift from a parsed one: root-adjacent targets, deleting the root
+//! (and reviving the empty document), and occasional fresh labels the
+//! document's label table has never seen. [`derive_script`] fixes the
+//! seed as a hash of the (document, query) pair, making the
 //! `edited_vs_rebuilt` invariant deterministic per pair with no extra
 //! state in the fuzzing session.
 
@@ -35,7 +34,7 @@ use crate::corpus::fnv1a;
 use crate::vocab::Vocabulary;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xmldom::{apply_op, parse, write, Document, EditDelta, EditOp, Indent, NodeId};
+use xmldom::{apply_op, parse, write, Document, EditOp, Indent, NodeId};
 
 /// One step of an [`EditScript`]. Node references are preorder indices
 /// into the document *as it stands when the step runs*.
@@ -149,26 +148,24 @@ impl EditScript {
         self.ops.iter().map(ScriptOp::serialize).collect::<Vec<_>>().join(" ; ")
     }
 
-    /// Apply every step in order, returning the chain of `(edited
-    /// document, delta)` states — exactly what incremental index
-    /// maintenance consumes. Fails on the first inapplicable step.
-    pub fn apply(&self, doc: &Document) -> Result<Vec<(Document, EditDelta)>, String> {
-        let mut cur = doc.clone();
-        let mut steps = Vec::with_capacity(self.ops.len());
+    /// Apply every step in order, returning the chain of edited
+    /// documents. Fails on the first inapplicable step.
+    pub fn apply(&self, doc: &Document) -> Result<Vec<Document>, String> {
+        let mut steps: Vec<Document> = Vec::with_capacity(self.ops.len());
         for (i, sop) in self.ops.iter().enumerate() {
-            let op = sop.to_edit_op(&cur).map_err(|e| format!("step {i}: {e}"))?;
-            let (next, delta) =
-                apply_op(&cur, &op).map_err(|e| format!("step {i}: edit rejected: {e}"))?;
-            cur = next.clone();
-            steps.push((next, delta));
+            let cur = steps.last().unwrap_or(doc);
+            let op = sop.to_edit_op(cur).map_err(|e| format!("step {i}: {e}"))?;
+            let (next, _) =
+                apply_op(cur, &op).map_err(|e| format!("step {i}: edit rejected: {e}"))?;
+            steps.push(next);
         }
         Ok(steps)
     }
 }
 
-/// Steps per derived script — enough to chain patches across a renumber
-/// and a rebuild fallback, small enough that the per-case cost stays
-/// within the smoke budget.
+/// Steps per derived script — enough to chain inserts, deletes and
+/// replaces (and often a root delete and revive), small enough that the
+/// per-case cost stays within the smoke budget.
 pub const DERIVED_STEPS: usize = 6;
 
 /// The deterministic script the `edited_vs_rebuilt` invariant checks for
@@ -237,9 +234,8 @@ pub fn generate(rng: &mut SmallRng, doc: &Document, steps: usize) -> EditScript 
 }
 
 /// A small random subtree (1–3 nodes) over the document's own labels —
-/// plus, occasionally, a label the document has never seen, which forces
-/// the path-summary edge-map miss and with it the index's rebuild
-/// fallback.
+/// plus, occasionally, a label the document has never seen, which the
+/// edit must intern into the carried-over label table.
 fn gen_subtree(rng: &mut SmallRng, vocab: &Vocabulary, fresh: &mut u32) -> String {
     let mut name = |rng: &mut SmallRng| {
         if rng.gen_bool(1.0 / 6.0) {
@@ -293,8 +289,8 @@ mod tests {
         let script = EditScript::parse("delete 0 ; insert - 0 <r><s/></r> ; replace 1 <t/>").unwrap();
         let steps = script.apply(&doc).unwrap();
         assert_eq!(steps.len(), 3);
-        assert!(steps[0].0.is_empty(), "deleting the root empties the document");
-        assert_eq!(steps[2].0.len(), 2);
+        assert!(steps[0].is_empty(), "deleting the root empties the document");
+        assert_eq!(steps[2].len(), 2);
         let bogus = EditScript::parse("delete 99").unwrap();
         let err = bogus.apply(&doc).unwrap_err();
         assert!(err.contains("step 0"), "{err}");

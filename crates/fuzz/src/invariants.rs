@@ -22,8 +22,8 @@ use twigbaselines::{
     tj_fast_indexed, twig_stack_indexed, DeweyResolver, PathStackStats, TJFastStats,
     TwigStackStats,
 };
-use xmldom::{write, Document, Indent, Label};
-use xmlindex::{DeweyIndex, EditApply, ElementIndex, MappedIndex, PruningPolicy, SliceStream};
+use xmldom::{write, Document, Indent};
+use xmlindex::{DeweyIndex, ElementIndex, MappedIndex, PruningPolicy, SliceStream};
 
 /// The metamorphic invariants, in report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,11 +57,11 @@ pub enum Invariant {
     /// heap index: byte-equal results, equal matcher work, and equal
     /// scan/skip counters, pruned and unpruned.
     MappedVsHeap,
-    /// Incremental index maintenance is invisible: chaining
-    /// `ElementIndex::apply_edit` across a derived random edit script
-    /// yields, at every step, an index structurally identical to one
-    /// rebuilt from scratch (elements, sid tags, skip blocks, path
-    /// summary), and byte-equal query results on the final document.
+    /// An edited document is a parsed document: after every step of a
+    /// derived random edit script, the edited document equals a fresh
+    /// parse of its own serialization node by node (tag, region, parent,
+    /// text, attributes), and the index built over the final document
+    /// answers the query like the naive oracle, pruned and unpruned.
     EditedVsRebuilt,
     /// Sharded scatter-gather over a multi-document catalog equals
     /// serial per-document evaluation concatenated in doc-id order, the
@@ -836,15 +836,14 @@ pub fn check_subscriptions(doc: &Document, subs: &[Gtp]) -> Outcome {
 /// replay (a `.t2s` file's `edits =` key routes here with the stored
 /// script instead of the derived one).
 ///
-/// Replays `script` against `doc`, maintaining **one** index
-/// incrementally across the whole chain while rebuilding a fresh index
-/// at every step, and demands the two be structurally identical —
-/// element partitions, sid tags, skip-block tables, and the path
-/// summary — whether the step was patched in place or fell back to a
-/// rebuild. On the final document the incrementally-maintained index
-/// must also produce byte-equal query results to the rebuilt one and to
-/// the naive oracle, pruned and unpruned: structural equality proves
-/// the encoding, the query pass proves the index is actually usable.
+/// Replays `script` against `doc` and demands, after every step, that
+/// the edited document equal `parse(write(edited))` node by node: tag
+/// name, region (`left`, `right`, `level`), parent, text and attributes.
+/// Tag names are compared, not label ids, because an edited document
+/// keeps its old label table. On the final document an index built from
+/// it must answer the query like the naive oracle, pruned and unpruned:
+/// the document check proves the encoding, the query pass proves the
+/// served path is actually usable.
 pub fn check_script(doc: &Document, gtp: &Gtp, script: &EditScript) -> Outcome {
     let steps = match script.apply(doc) {
         Ok(s) => s,
@@ -853,67 +852,64 @@ pub fn check_script(doc: &Document, gtp: &Gtp, script: &EditScript) -> Outcome {
     if steps.is_empty() {
         return Outcome::Skipped("empty edit script");
     }
-    let mut patched = ElementIndex::build(doc);
-    for (step, (edited, delta)) in steps.iter().enumerate() {
-        let (next, how) = patched.apply_edit(edited, delta);
-        patched = next;
-        let rebuilt = ElementIndex::build(edited);
-        if let Some(msg) = index_diff(&patched, &rebuilt, edited) {
-            let how = match how {
-                EditApply::Patched => "patched",
-                EditApply::Rebuilt => "rebuilt",
-            };
-            return Outcome::Failed(format!("step {step} ({how}): {msg}"));
+    for (step, edited) in steps.iter().enumerate() {
+        if let Some(msg) = reparse_diff(edited) {
+            return Outcome::Failed(format!("step {step}: {msg}"));
         }
     }
-    let (last, _) = steps.last().expect("non-empty steps");
+    let last = steps.last().expect("non-empty steps");
     let analysis = QueryAnalysis::new(gtp);
     if !last.is_empty() && analysis.enumerable() && !analysis.columns().is_empty() {
         let expected = naive_evaluate(last, gtp);
         if expected.len() > MAX_ROWS {
             return Outcome::Skipped("result set too large for the smoke budget");
         }
-        let rebuilt = ElementIndex::build(last);
+        let index = ElementIndex::build(last);
         for policy in [PruningPolicy::Enabled, PruningPolicy::Disabled] {
-            let inc = evaluate_indexed(last, &patched, gtp, policy);
-            let fresh = evaluate_indexed(last, &rebuilt, gtp, policy);
-            if inc != fresh {
-                return diff("edited index", &inc, &fresh);
-            }
-            if inc != expected {
-                return diff("edited index vs naive oracle", &inc, &expected);
+            let got = evaluate_indexed(last, &index, gtp, policy);
+            if got != expected {
+                return diff("edited index vs naive oracle", &got, &expected);
             }
         }
     }
     Outcome::Passed
 }
 
-/// First structural difference between an incrementally-patched index
-/// and a rebuilt one, or `None` when they are identical.
-fn index_diff(patched: &ElementIndex, rebuilt: &ElementIndex, doc: &Document) -> Option<String> {
-    if patched.label_count() != rebuilt.label_count() {
+/// First node where `edited` differs from a fresh parse of its own
+/// serialization, or `None` when the two agree node by node.
+fn reparse_diff(edited: &Document) -> Option<String> {
+    if edited.is_empty() {
+        return None; // nothing to serialize, nothing to compare
+    }
+    let fresh = match xmldom::parse(&write(edited, Indent::None)) {
+        Ok(d) => d,
+        Err(e) => return Some(format!("serialization does not re-parse: {e}")),
+    };
+    if edited.len() != fresh.len() {
         return Some(format!(
-            "label_count {} vs rebuilt {}",
-            patched.label_count(),
-            rebuilt.label_count()
+            "{} nodes vs re-parsed {}",
+            edited.len(),
+            fresh.len()
         ));
     }
-    for ix in 0..doc.labels().len() {
-        let l = Label::from_index(ix);
-        if patched.elements(l) != rebuilt.elements(l) {
-            return Some(format!("label {ix}: element partition differs"));
-        }
-        if patched.sids(l) != rebuilt.sids(l) {
-            return Some(format!("label {ix}: sid tags differ"));
-        }
-        if patched.blocks(l) != rebuilt.blocks(l) {
-            return Some(format!("label {ix}: skip-block table differs"));
-        }
-    }
-    if patched.path_summary() != rebuilt.path_summary() {
-        return Some("path summary differs".to_string());
-    }
-    None
+    edited.iter().find_map(|n| {
+        let field = if edited.tag_name(n) != fresh.tag_name(n) {
+            "tag name"
+        } else if edited.region(n) != fresh.region(n) {
+            "region"
+        } else if edited.parent(n) != fresh.parent(n) {
+            "parent"
+        } else if edited.text(n) != fresh.text(n) {
+            "text"
+        } else if edited.attributes(n) != fresh.attributes(n) {
+            "attributes"
+        } else {
+            return None;
+        };
+        Some(format!(
+            "node {n}: {field} differs from the re-parsed document"
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!   consistency, existence consistency, early-vs-full equality,
 //!   serial-vs-parallel equality, predicate-weakening monotonicity,
 //!   pruned-vs-unpruned (the served plan included) and mapped-vs-heap
-//!   equivalence, edited-vs-rebuilt index maintenance,
+//!   equivalence, edited-vs-rebuilt (an edited document equals its re-parse),
 //!   catalog-vs-serial scatter-gather equivalence, and
 //!   subscribed-vs-solo automaton sharing. See DESIGN.md §8 for the
 //!   mapping to paper sections.

@@ -37,7 +37,7 @@ pub use disk::{
 };
 pub use schema::Schema;
 pub use stream::{
-    filter_worthwhile, EditApply, ElemStream, ElementIndex, EmptyStream, IndexView,
+    filter_worthwhile, ElemStream, ElementIndex, EmptyStream, IndexView,
     IndexedElement, PrunedStream, PruningPolicy, ScanCost, SliceStream, StreamError,
 };
 pub use summary::{PathSummary, RegionCover, SummaryNode, SummaryRef, SummarySet};

@@ -8,7 +8,6 @@
 //! the same streams from an on-disk file with IO accounting.
 
 use crate::summary::{PathSummary, RegionCover, SummaryRef, SummarySet};
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use twigobs::Counter;
@@ -202,17 +201,6 @@ impl ElemStream for EmptyStream {
     fn advance(&mut self) {}
 }
 
-/// How [`ElementIndex::apply_edit`] produced the post-edit index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EditApply {
-    /// Incrementally patched: only the changed labels' partitions were
-    /// respliced and summary-id numbering is provably unchanged.
-    Patched,
-    /// Fully rebuilt from the edited document: summary ids may have been
-    /// renumbered, so anything keyed on sids must be recomputed.
-    Rebuilt,
-}
-
 /// In-memory label-partitioned element index of one document, plus the
 /// document's path summary and the per-element summary ids that pruned
 /// streams filter by.
@@ -226,8 +214,6 @@ pub struct ElementIndex {
     /// block, the structure `skip_to` gallops over.
     blocks: Vec<Vec<u32>>,
     summary: PathSummary,
-    /// Snapshot version: 0 for a fresh build, +1 per applied edit.
-    version: u64,
 }
 
 impl ElementIndex {
@@ -263,159 +249,19 @@ impl ElementIndex {
             "second pass must fill exactly the pre-sized capacity"
         );
         let blocks = by_label.iter().map(|v| skip_blocks(v)).collect();
-        ElementIndex { by_label, sids, blocks, summary, version: 0 }
-    }
-
-    /// Monotone snapshot version of this index: 0 when freshly
-    /// [`build`](Self::build)t, incremented by every
-    /// [`apply_edit`](Self::apply_edit) (patched or rebuilt alike).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Index of `edited` after one applied edit, produced incrementally
-    /// when possible.
-    ///
-    /// The patch path shifts surviving node ids (the splice moves every
-    /// later preorder ordinal by `delta.id_shift()`), splices only the
-    /// changed labels' partitions — the removed elements are one
-    /// contiguous id run because a subtree is contiguous in preorder, and
-    /// the incoming elements land in one region gap, so each partition
-    /// takes a single `splice` at one position — recomputes those labels'
-    /// skip-block tables, and patches the path summary in place. It falls
-    /// back to a full [`build`](Self::build) whenever the patch cannot
-    /// provably reproduce one: the edit renumbered the document, put a
-    /// node on a never-seen label path, emptied a path, or reordered path
-    /// first-occurrences (sid numbering is first-occurrence order).
-    /// Either way the result is indistinguishable from
-    /// `ElementIndex::build(edited)` except for the version counter, and
-    /// the structural work done is metered by
-    /// [`Counter::EditElementsReindexed`] (a full rebuild meters
-    /// `edited.len()`).
-    ///
-    /// The returned [`EditApply`] tells the caller which path ran — the
-    /// distinction matters upstream because a patch provably preserves
-    /// summary-id numbering (cached plans keyed on disjoint labels stay
-    /// valid) while a rebuild may renumber sids (every cached plan is
-    /// stale).
-    pub fn apply_edit(&self, edited: &Document, delta: &EditDelta) -> (ElementIndex, EditApply) {
-        let version = self.version + 1;
-        match self.try_patch(edited, delta) {
-            Some(mut ix) => {
-                ix.version = version;
-                (ix, EditApply::Patched)
-            }
-            None => {
-                twigobs::add(Counter::EditElementsReindexed, edited.len() as u64);
-                let mut ix = ElementIndex::build(edited);
-                ix.version = version;
-                (ix, EditApply::Rebuilt)
-            }
+        ElementIndex {
+            by_label,
+            sids,
+            blocks,
+            summary,
         }
     }
 
-    /// The incremental half of [`apply_edit`](Self::apply_edit); `None`
-    /// means "fall back to a full rebuild".
-    pub(crate) fn try_patch(&self, edited: &Document, delta: &EditDelta) -> Option<ElementIndex> {
-        if delta.renumbered {
-            return None;
-        }
-        let (at, removed, inserted) =
-            (delta.at as usize, delta.removed as usize, delta.inserted as usize);
-        let end = at + removed;
-        let shift = delta.id_shift();
-        let mut summary = self.summary.try_patch(edited, at, removed, inserted)?;
-
-        // Group the spliced-in elements by label; preorder iteration keeps
-        // every group in id (= document) order.
-        let mut incoming: HashMap<usize, (Vec<IndexedElement>, Vec<u32>)> = HashMap::new();
-        for i in at..at + inserted {
-            let n = NodeId::from_index(i);
-            let (elems, elem_sids) = incoming.entry(edited.label(n).index()).or_default();
-            elems.push(IndexedElement { id: n, region: edited.region(n) });
-            elem_sids.push(summary.sid(n));
-        }
-
-        let mut by_label = self.by_label.clone();
-        let mut sids = self.sids.clone();
-        let mut blocks = self.blocks.clone();
-        // The edit may have interned labels this index has never seen
-        // (on a path it *has* seen — otherwise the summary patch bailed).
-        let n_labels = edited.labels().len();
-        by_label.resize_with(n_labels, Vec::new);
-        sids.resize_with(n_labels, Vec::new);
-        blocks.resize_with(n_labels, Vec::new);
-
-        let changed: Vec<usize> = delta.changed_labels.iter().map(|l| l.index()).collect();
-        let mut reindexed = 0u64;
-        for ix in 0..n_labels {
-            let part = &mut by_label[ix];
-            if changed.contains(&ix) {
-                let lo = part.partition_point(|e| e.id.index() < at);
-                let hi = part.partition_point(|e| e.id.index() < end);
-                let (ins, ins_sids) = incoming.remove(&ix).unwrap_or_default();
-                reindexed += (hi - lo) as u64 + ins.len() as u64;
-                for e in &mut part[hi..] {
-                    e.id = shifted(e.id, shift);
-                }
-                part.splice(lo..hi, ins);
-                sids[ix].splice(lo..hi, ins_sids);
-                blocks[ix] = skip_blocks(part);
-            } else if shift != 0 {
-                // Untouched label: regions (hence blocks) are unchanged,
-                // only the preorder ordinals past the splice move.
-                let lo = part.partition_point(|e| e.id.index() < end);
-                for e in &mut part[lo..] {
-                    e.id = shifted(e.id, shift);
-                }
-            }
-        }
-
-        // Recompute the region hulls of every path the splice touched from
-        // the patched partitions (a removal can shrink a hull; the count
-        // arithmetic in the summary patch cannot know by how much). Gap
-        // allocation never moves an enclosing region, so paths without
-        // spliced elements keep their hulls.
-        let affected: Vec<u32> = {
-            let mut sids_touched: Vec<u32> = self.summary.sids()[at..end]
-                .iter()
-                .chain(&summary.sids()[at..at + inserted])
-                .copied()
-                .collect();
-            sids_touched.sort_unstable();
-            sids_touched.dedup();
-            sids_touched
-        };
-        let mut scan_by_label: HashMap<usize, Vec<u32>> = HashMap::new();
-        for &sid in &affected {
-            scan_by_label.entry(summary.node(sid).label.index()).or_default().push(sid);
-        }
-        for (ix, label_sids) in scan_by_label {
-            reindexed += by_label[ix].len() as u64;
-            let mut hulls: HashMap<u32, (u32, u32)> =
-                label_sids.iter().map(|&s| (s, (u32::MAX, 0))).collect();
-            for (e, &s) in by_label[ix].iter().zip(&sids[ix]) {
-                if let Some(h) = hulls.get_mut(&s) {
-                    h.0 = h.0.min(e.region.left);
-                    h.1 = h.1.max(e.region.right);
-                }
-            }
-            for (s, h) in hulls {
-                let node = summary.node_mut(s);
-                node.min_left = h.0;
-                node.max_right = h.1;
-            }
-        }
-
-        // Sid numbering is first-occurrence (= min-left) order; an edit
-        // that reorders first occurrences — deleting the earliest element
-        // of one path so another path now appears first — would make a
-        // fresh build number the sids differently.
-        if !summary.nodes().windows(2).all(|w| w[0].min_left < w[1].min_left) {
-            return None;
-        }
-        twigobs::add(Counter::EditElementsReindexed, reindexed);
-        Some(ElementIndex { by_label, sids, blocks, summary, version: 0 })
+    /// The index of `edited`: a plain [`build`](Self::build). The name
+    /// and signature stay only because the `perfbench` benchmark times
+    /// this call; nothing in the workspace calls it.
+    pub fn apply_edit(&self, edited: &Document, _delta: &EditDelta) -> ElementIndex {
+        ElementIndex::build(edited)
     }
 
     /// All elements with `label`, in document order.
@@ -455,12 +301,6 @@ impl ElementIndex {
     /// Borrowed view of the document's path summary.
     pub fn summary(&self) -> SummaryRef<'_> {
         self.summary.view()
-    }
-
-    /// The owned path summary (the view in [`summary`](Self::summary) is
-    /// what consumers want; this is for serialization).
-    pub fn path_summary(&self) -> &PathSummary {
-        &self.summary
     }
 
     /// Summary ids of the elements with `label`, parallel to
@@ -531,17 +371,6 @@ pub trait IndexView {
     /// Number of labels the index covers.
     fn label_count(&self) -> usize;
 
-    /// Monotone snapshot version of this index: distinguishes successive
-    /// index generations of the same logical document as it is edited.
-    /// Freshly built or opened indexes are version 0, and backends that
-    /// cannot be edited in place (the read-only mapped v3 index) stay
-    /// there; [`ElementIndex::apply_edit`] bumps it. Plan caches key
-    /// validity on this, so a plan computed against one snapshot is never
-    /// replayed verbatim against a structurally different one.
-    fn snapshot_version(&self) -> u64 {
-        0
-    }
-
     /// Number of elements stored for `label`.
     fn count(&self, label: Label) -> usize {
         self.elements(label).len()
@@ -596,9 +425,6 @@ impl IndexView for ElementIndex {
     fn label_count(&self) -> usize {
         ElementIndex::label_count(self)
     }
-    fn snapshot_version(&self) -> u64 {
-        ElementIndex::version(self)
-    }
 }
 
 /// True iff a summary filter that keeps `covered` of a label's `total`
@@ -613,12 +439,6 @@ impl IndexView for ElementIndex {
 /// least 1/16 of the postings.
 pub fn filter_worthwhile(covered: u64, total: u64) -> bool {
     covered.saturating_mul(16) <= total.saturating_mul(15)
-}
-
-/// `id` moved by the signed preorder shift of a splice.
-#[inline]
-fn shifted(id: NodeId, shift: i64) -> NodeId {
-    NodeId::from_index((id.index() as i64 + shift) as usize)
 }
 
 /// Max `right` of each aligned [`SKIP_BLOCK`]-element block of `items`.
@@ -1137,209 +957,15 @@ mod tests {
         assert_eq!(cost.bytes, 3 * ELEMENT_RECORD_BYTES);
     }
 
-    mod edits {
-        use super::*;
-        use xmldom::{apply_op, Document, EditOp, NodeId};
-
-        /// Byte-for-byte equality of two indexes over the same document
-        /// (modulo the version counter).
-        fn assert_same_index(patched: &ElementIndex, rebuilt: &ElementIndex, doc: &Document) {
-            assert_eq!(patched.label_count(), rebuilt.label_count());
-            for ix in 0..doc.labels().len() {
-                let l = Label::from_index(ix);
-                assert_eq!(patched.elements(l), rebuilt.elements(l), "label {ix} elements");
-                assert_eq!(patched.sids(l), rebuilt.sids(l), "label {ix} sids");
-                assert_eq!(patched.blocks(l), rebuilt.blocks(l), "label {ix} blocks");
-            }
-            assert_eq!(patched.path_summary(), rebuilt.path_summary());
+    #[test]
+    fn build_indexes_the_empty_document() {
+        let doc = parse("<a><b/></a>").unwrap();
+        let (empty, _) =
+            xmldom::apply_op(&doc, &xmldom::EditOp::DeleteSubtree { target: doc.root() }).unwrap();
+        let idx = ElementIndex::build(&empty);
+        for label in ["a", "b"] {
+            assert_eq!(idx.count(doc.labels().get(label).unwrap()), 0, "{label}");
         }
-
-        /// A document with gap headroom: one renumbering insert up front.
-        fn gapped(xml: &str) -> Document {
-            let base = parse(xml).unwrap();
-            let sub = parse("<pad/>").unwrap();
-            let (doc, delta) = apply_op(
-                &base,
-                &EditOp::InsertSubtree { parent: Some(base.root()), position: 0, subtree: sub },
-            )
-            .unwrap();
-            assert!(delta.renumbered);
-            doc
-        }
-
-        #[test]
-        fn gap_fitting_insert_patches_incrementally() {
-            let doc = gapped("<a><b><c/></b><b/></a>");
-            let idx = ElementIndex::build(&doc);
-            let b = doc.children(doc.root()).nth(1).unwrap();
-            let (edited, delta) = apply_op(
-                &doc,
-                &EditOp::InsertSubtree {
-                    parent: Some(b),
-                    position: 1,
-                    subtree: parse("<c/>").unwrap(),
-                },
-            )
-            .unwrap();
-            assert!(!delta.renumbered);
-            let patched = idx.try_patch(&edited, &delta).expect("gap edit must patch");
-            assert_same_index(&patched, &ElementIndex::build(&edited), &edited);
-        }
-
-        #[test]
-        fn delete_patches_incrementally_and_shrinks_hulls() {
-            let doc = gapped("<a><b><c/></b><b><c/></b></a>");
-            let idx = ElementIndex::build(&doc);
-            // Delete the LAST b subtree: /a/b and /a/b/c keep their first
-            // occurrences, so the patch path applies; the hulls shrink.
-            let last_b = doc.children(doc.root()).nth(2).unwrap();
-            let (edited, delta) = apply_op(&doc, &EditOp::DeleteSubtree { target: last_b }).unwrap();
-            assert!(!delta.renumbered);
-            let patched = idx.try_patch(&edited, &delta).expect("delete must patch");
-            let rebuilt = ElementIndex::build(&edited);
-            assert_same_index(&patched, &rebuilt, &edited);
-            // The hull recompute actually did something: the b path's
-            // max_right came down to the surviving subtree.
-            let b_label = edited.labels().get("b").unwrap();
-            let b_sid = patched.sids(b_label)[0];
-            assert!(
-                patched.path_summary().node(b_sid).max_right
-                    < idx.path_summary().node(b_sid).max_right
-            );
-        }
-
-        #[test]
-        fn replace_patches_incrementally() {
-            let doc = gapped("<a><b><c/><c/></b><b><c/></b></a>");
-            let idx = ElementIndex::build(&doc);
-            let first_b = doc.children(doc.root()).nth(1).unwrap();
-            let (edited, delta) = apply_op(
-                &doc,
-                &EditOp::ReplaceSubtree { target: first_b, subtree: parse("<b><c/></b>").unwrap() },
-            )
-            .unwrap();
-            assert!(!delta.renumbered, "3-node subtree leaves room for 2 nodes");
-            let patched = idx.try_patch(&edited, &delta).expect("replace must patch");
-            assert_same_index(&patched, &ElementIndex::build(&edited), &edited);
-        }
-
-        #[test]
-        fn id_shift_reaches_untouched_labels() {
-            // Deleting a <b> shifts the ids of every later <z> even though
-            // the z partition itself is never spliced.
-            let doc = gapped("<a><b/><b/><z/><z/></a>");
-            let idx = ElementIndex::build(&doc);
-            let second_b = doc.children(doc.root()).nth(2).unwrap();
-            let (edited, delta) = apply_op(&doc, &EditOp::DeleteSubtree { target: second_b }).unwrap();
-            let patched = idx.try_patch(&edited, &delta).expect("delete must patch");
-            let rebuilt = ElementIndex::build(&edited);
-            assert_same_index(&patched, &rebuilt, &edited);
-            let z = edited.labels().get("z").unwrap();
-            assert_eq!(patched.elements(z)[0].id, NodeId::from_index(3));
-        }
-
-        #[test]
-        fn renumbering_edit_falls_back_to_rebuild() {
-            let doc = parse("<a><b/><c/></a>").unwrap(); // dense: no gaps
-            let idx = ElementIndex::build(&doc);
-            let (edited, delta) = apply_op(
-                &doc,
-                &EditOp::InsertSubtree {
-                    parent: Some(doc.root()),
-                    position: 1,
-                    subtree: parse("<b/>").unwrap(),
-                },
-            )
-            .unwrap();
-            assert!(delta.renumbered);
-            assert!(idx.try_patch(&edited, &delta).is_none());
-            let (applied, how) = idx.apply_edit(&edited, &delta);
-            assert_eq!(how, EditApply::Rebuilt);
-            assert_same_index(&applied, &ElementIndex::build(&edited), &edited);
-            assert_eq!(applied.version(), 1);
-        }
-
-        #[test]
-        fn new_path_falls_back_to_rebuild() {
-            let doc = gapped("<a><b/></a>");
-            let idx = ElementIndex::build(&doc);
-            let b = doc.children(doc.root()).nth(1).unwrap();
-            let (edited, delta) = apply_op(
-                &doc,
-                &EditOp::InsertSubtree {
-                    parent: Some(b),
-                    position: 0,
-                    subtree: parse("<new/>").unwrap(),
-                },
-            )
-            .unwrap();
-            assert!(!delta.renumbered);
-            assert!(idx.try_patch(&edited, &delta).is_none(), "path /a/b/new never seen");
-            assert_same_index(&idx.apply_edit(&edited, &delta).0, &ElementIndex::build(&edited), &edited);
-        }
-
-        #[test]
-        fn emptied_path_falls_back_to_rebuild() {
-            let doc = gapped("<a><b/><c/></a>");
-            let idx = ElementIndex::build(&doc);
-            let b = doc.children(doc.root()).nth(1).unwrap();
-            let (edited, delta) = apply_op(&doc, &EditOp::DeleteSubtree { target: b }).unwrap();
-            assert!(idx.try_patch(&edited, &delta).is_none(), "/a/b has no elements left");
-            assert_same_index(&idx.apply_edit(&edited, &delta).0, &ElementIndex::build(&edited), &edited);
-        }
-
-        #[test]
-        fn first_occurrence_reorder_falls_back_to_rebuild() {
-            // Deleting the FIRST b makes /a/c appear before /a/b in a
-            // fresh build: different sid numbering, so no patch.
-            let doc = gapped("<a><b/><c/><b/></a>");
-            let idx = ElementIndex::build(&doc);
-            let first_b = doc.children(doc.root()).nth(1).unwrap();
-            let (edited, delta) = apply_op(&doc, &EditOp::DeleteSubtree { target: first_b }).unwrap();
-            assert!(!delta.renumbered);
-            assert!(
-                idx.try_patch(&edited, &delta).is_none(),
-                "min_left order no longer matches sid order"
-            );
-            assert_same_index(&idx.apply_edit(&edited, &delta).0, &ElementIndex::build(&edited), &edited);
-        }
-
-        #[test]
-        fn version_counts_every_edit() {
-            let doc = gapped("<a><b/><b/></a>");
-            let idx = ElementIndex::build(&doc);
-            assert_eq!(idx.version(), 0);
-            assert_eq!(IndexView::snapshot_version(&idx), 0);
-            let b = doc.children(doc.root()).nth(1).unwrap();
-            let (e1, d1) = apply_op(&doc, &EditOp::DeleteSubtree { target: b }).unwrap();
-            let (v1, how) = idx.apply_edit(&e1, &d1);
-            assert_eq!(how, EditApply::Patched);
-            assert_eq!(v1.version(), 1);
-            let b = e1.children(e1.root()).nth(1).unwrap();
-            let (e2, d2) = apply_op(&e1, &EditOp::DeleteSubtree { target: b }).unwrap();
-            let (v2, how) = v1.apply_edit(&e2, &d2);
-            assert_eq!(how, EditApply::Rebuilt);
-            assert_eq!(v2.version(), 2, "fallback rebuilds bump the version too");
-            assert_eq!(IndexView::snapshot_version(&v2), 2);
-        }
-
-        #[test]
-        fn edits_to_and_from_the_empty_document() {
-            let doc = parse("<a><b/></a>").unwrap();
-            let idx = ElementIndex::build(&doc);
-            let (empty, delta) = apply_op(&doc, &EditOp::DeleteSubtree { target: doc.root() }).unwrap();
-            let (empty_ix, _) = idx.apply_edit(&empty, &delta);
-            assert_eq!(empty_ix.version(), 1);
-            assert_eq!(empty_ix.count(doc.labels().get("b").unwrap()), 0);
-            assert!(empty_ix.summary().is_empty());
-            let (revived, delta) = apply_op(
-                &empty,
-                &EditOp::InsertSubtree { parent: None, position: 0, subtree: parse("<a><b/></a>").unwrap() },
-            )
-            .unwrap();
-            let (revived_ix, _) = empty_ix.apply_edit(&revived, &delta);
-            assert_eq!(revived_ix.version(), 2);
-            assert_same_index(&revived_ix, &ElementIndex::build(&revived), &revived);
-        }
+        assert!(idx.summary().is_empty());
     }
 }

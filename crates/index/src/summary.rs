@@ -310,66 +310,6 @@ impl PathSummary {
     pub fn fingerprint(&self, labels: &LabelTable) -> u64 {
         self.view().fingerprint(labels)
     }
-
-    /// Mutable access to one summary node, for the incremental index
-    /// maintenance in [`crate::stream`] (region-hull rewrites only; the
-    /// tree structure is never mutated in place).
-    #[inline]
-    pub(crate) fn node_mut(&mut self, sid: u32) -> &mut SummaryNode {
-        &mut self.nodes[sid as usize]
-    }
-
-    /// Try to patch this summary for a single contiguous preorder splice
-    /// (`removed` nodes at `at` replaced by `edited`'s nodes
-    /// `at .. at + inserted`), preserving every sid number.
-    ///
-    /// Sid numbering is first-occurrence order, so a patch is only valid
-    /// when the edit leaves the set of label paths and their relative
-    /// first-occurrence order intact. This function handles the structural
-    /// half of that contract: it splices `sid_of`, patches per-path counts,
-    /// and resolves every inserted node's path through the *existing* edge
-    /// relation. It returns `None` — full rebuild required — when an
-    /// inserted node is on a path this summary has never seen, or when a
-    /// path's element count drops to zero (a fresh build would not contain
-    /// that path at all, renumbering every later sid). Region hulls are
-    /// NOT maintained here; the caller recomputes the affected hulls from
-    /// its patched element partitions and then validates first-occurrence
-    /// order via the `min_left` monotonicity invariant.
-    pub(crate) fn try_patch(
-        &self,
-        edited: &Document,
-        at: usize,
-        removed: usize,
-        inserted: usize,
-    ) -> Option<PathSummary> {
-        let mut nodes = self.nodes.clone();
-        for &sid in &self.sid_of[at..at + removed] {
-            let c = &mut nodes[sid as usize].count;
-            *c = c.checked_sub(1)?;
-        }
-        // The same (parent sid, label) relation the builder interns by.
-        let mut edge: HashMap<(u32, Label), u32> = HashMap::with_capacity(nodes.len());
-        for (sid, n) in nodes.iter().enumerate() {
-            edge.insert((n.parent, n.label), sid as u32);
-        }
-        let mut sid_of = Vec::with_capacity(edited.len());
-        sid_of.extend_from_slice(&self.sid_of[..at]);
-        for i in at..at + inserted {
-            let n = NodeId::from_index(i);
-            // Ancestors precede descendants in preorder, so an inserted
-            // node's parent sid is already in the rebuilt prefix.
-            let parent_sid = edited.parent(n).map_or(u32::MAX, |p| sid_of[p.index()]);
-            let sid = *edge.get(&(parent_sid, edited.label(n)))?;
-            nodes[sid as usize].count += 1;
-            sid_of.push(sid);
-        }
-        sid_of.extend_from_slice(&self.sid_of[at + removed..]);
-        debug_assert_eq!(sid_of.len(), edited.len());
-        if nodes.iter().any(|n| n.count == 0) {
-            return None;
-        }
-        Some(PathSummary { nodes, children: self.children.clone(), sid_of })
-    }
 }
 
 /// A set of summary ids, stored as a bitset (summaries are tiny, so a set

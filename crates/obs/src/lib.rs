@@ -69,7 +69,7 @@ pub const ENABLED: bool = cfg!(feature = "enabled");
 ///
 /// ```
 /// use twigobs::Counter;
-/// assert_eq!(Counter::ALL.len(), 31);
+/// assert_eq!(Counter::ALL.len(), 29);
 /// assert_eq!(Counter::EdgesCreated.name(), "edges_created");
 /// assert_eq!(Counter::PlanCacheHits.name(), "plan_cache_hits");
 /// assert_eq!(Counter::EditsApplied.name(), "edits_applied");
@@ -125,16 +125,8 @@ pub enum Counter {
     /// Query-service snapshot rotations: each counts one batch of edits
     /// swapped in behind the readers' `Arc`.
     SnapshotRotations,
-    /// Whole-document region renumberings forced by an exhausted gap
-    /// budget between two adjacent tag positions (DESIGN.md §15).
-    RenumberEvents,
-    /// Elements rewritten into label partitions by incremental index
-    /// maintenance — the work a full rebuild would spend on *every*
-    /// element (the Fig E incremental-vs-rebuild cost axis).
-    EditElementsReindexed,
-    /// Cached plans dropped by snapshot rotation because their label set
-    /// intersected the edit's changed labels (or the summary was
-    /// rebuilt).
+    /// Cached plans dropped by snapshot rotation: every rotation flushes
+    /// the plan cache.
     PlanCacheInvalidations,
     /// Catalog documents a routed query actually visited (the Bloom +
     /// summary-feasibility router could not rule them out).
@@ -166,7 +158,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 29] = [
         Counter::ElementsScanned,
         Counter::StackPushes,
         Counter::Merges,
@@ -188,8 +180,6 @@ impl Counter {
         Counter::DeadlineExceeded,
         Counter::EditsApplied,
         Counter::SnapshotRotations,
-        Counter::RenumberEvents,
-        Counter::EditElementsReindexed,
         Counter::PlanCacheInvalidations,
         Counter::CatalogDocsRouted,
         Counter::CatalogDocsSkipped,
@@ -225,8 +215,6 @@ impl Counter {
             Counter::DeadlineExceeded => "deadline_exceeded",
             Counter::EditsApplied => "edits_applied",
             Counter::SnapshotRotations => "snapshot_rotations",
-            Counter::RenumberEvents => "renumber_events",
-            Counter::EditElementsReindexed => "edit_elements_reindexed",
             Counter::PlanCacheInvalidations => "plan_cache_invalidations",
             Counter::CatalogDocsRouted => "catalog_docs_routed",
             Counter::CatalogDocsSkipped => "catalog_docs_skipped",
@@ -262,16 +250,14 @@ impl Counter {
             Counter::DeadlineExceeded => 18,
             Counter::EditsApplied => 19,
             Counter::SnapshotRotations => 20,
-            Counter::RenumberEvents => 21,
-            Counter::EditElementsReindexed => 22,
-            Counter::PlanCacheInvalidations => 23,
-            Counter::CatalogDocsRouted => 24,
-            Counter::CatalogDocsSkipped => 25,
-            Counter::ShardQueries => 26,
-            Counter::CatalogBatches => 27,
-            Counter::SubEvents => 28,
-            Counter::SubMatcherFeeds => 29,
-            Counter::SubNotifications => 30,
+            Counter::PlanCacheInvalidations => 21,
+            Counter::CatalogDocsRouted => 22,
+            Counter::CatalogDocsSkipped => 23,
+            Counter::ShardQueries => 24,
+            Counter::CatalogBatches => 25,
+            Counter::SubEvents => 26,
+            Counter::SubMatcherFeeds => 27,
+            Counter::SubNotifications => 28,
         }
     }
 }

@@ -17,12 +17,9 @@
 //! Snapshot rotation (document edits) adds a second dimension: every
 //! entry carries the snapshot version it was computed against, and only
 //! entries whose version matches the caller's current snapshot count as
-//! hits. `PlanCache::rotate` (crate-private) moves the cache from one
-//! version to the
-//! next: entries whose scanned label set intersects the edit's changed
-//! labels are dropped (their filters, covers, and sid hulls may be
-//! stale), the rest are re-stamped to the new version — the analysis
-//! amortization survives edits that don't touch a plan's labels.
+//! hits. Every rotation flushes the cache (`PlanCache::flush`,
+//! crate-private); the version check still drops a plan computed against
+//! the old snapshot that a reader inserts after the flush.
 
 use gtpquery::Gtp;
 use std::collections::HashMap;
@@ -30,7 +27,6 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use twig2stack::IndexedPlan;
-use xmldom::Label;
 use xmlindex::PruningPolicy;
 
 /// A cached, immutable evaluation plan: the parsed query and its
@@ -125,31 +121,16 @@ impl PlanCache {
         evicted
     }
 
-    /// Move the cache from the snapshot preceding `new_version` to
-    /// `new_version` after an edit. Entries survive (re-stamped to the
-    /// new version) only if they were valid for the previous snapshot
-    /// and, when `changed` is `Some`, their scanned label set is disjoint
-    /// from the edit's changed labels; `changed = None` means the index
-    /// was rebuilt (sid numbering may have moved) and every entry is
-    /// stale. Returns how many entries were invalidated.
-    pub(crate) fn rotate(&self, changed: Option<&[Label]>, new_version: u64) -> u64 {
-        let mut invalidated = 0;
+    /// Drop every cached plan (a snapshot rotation). Returns how many
+    /// were dropped.
+    pub(crate) fn flush(&self) -> u64 {
+        let mut dropped = 0;
         for shard in &self.shards {
             let mut shard = shard.lock().expect("plan cache poisoned");
-            shard.retain(|_, e| {
-                let keep = e.version + 1 == new_version
-                    && changed.is_some_and(|c| {
-                        e.plan.plan.labels().iter().all(|l| !c.contains(l))
-                    });
-                if keep {
-                    e.version = new_version;
-                } else {
-                    invalidated += 1;
-                }
-                keep
-            });
+            dropped += shard.len() as u64;
+            shard.clear();
         }
-        invalidated
+        dropped
     }
 
     /// Number of cached plans across all shards (test/diagnostic aid).
@@ -230,35 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn rotate_keeps_disjoint_plans_and_drops_touched_ones() {
-        let doc = parse("<a><b><c/></b></a>").unwrap();
-        let b = doc.labels().get("b").unwrap();
+    fn flush_drops_every_plan_and_counts_them() {
         let cache = PlanCache::new(8, 2);
         cache.insert("//a/b".into(), plan_for("//a/b"), 0);
         cache.insert("//c".into(), plan_for("//c"), 0);
-        let invalidated = cache.rotate(Some(&[b]), 1);
-        assert_eq!(invalidated, 1, "only the plan scanning b is stale");
-        assert!(cache.get("//a/b", 1).is_none());
-        assert!(cache.get("//c", 1).is_some(), "disjoint plan re-stamped to the new version");
-    }
-
-    #[test]
-    fn rotate_after_a_rebuild_clears_everything() {
-        let cache = PlanCache::new(8, 2);
-        cache.insert("//a/b".into(), plan_for("//a/b"), 0);
-        cache.insert("//c".into(), plan_for("//c"), 0);
-        assert_eq!(cache.rotate(None, 1), 2);
+        assert_eq!(cache.flush(), 2);
         assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn rotate_drops_entries_that_skipped_a_version() {
-        let cache = PlanCache::new(8, 1);
-        // Raced insert: computed against snapshot 0, lands while the
-        // service is already rotating 1 -> 2. Its validity for version 2
-        // is unknown even with disjoint labels, so it must go.
-        cache.insert("//c".into(), plan_for("//c"), 0);
-        assert_eq!(cache.rotate(Some(&[]), 2), 1);
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.flush(), 0);
     }
 }

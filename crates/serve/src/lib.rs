@@ -38,15 +38,12 @@
 //!
 //! A fifth mechanism (DESIGN.md §15) makes the served document mutable
 //! without ever making a snapshot mutable: [`QueryService::apply_edit`]
-//! takes an [`xmldom::EditOp`], derives the post-edit document and index
-//! (incrementally patched when the edit fits existing region gaps, fully
-//! rebuilt otherwise), and **rotates** the result in as a new
-//! [`Snapshot`] behind an [`Arc`] swap. In-flight queries keep reading
-//! the snapshot they were admitted under — rotation never blocks or
-//! tears a reader — and cached plans are invalidated precisely: a plan
-//! survives an edit iff the index was patched (summary-id numbering
-//! preserved) and the plan's scanned label set is disjoint from the
-//! edit's changed labels.
+//! takes an [`xmldom::EditOp`], derives the post-edit document (numbered
+//! exactly as a fresh parse) and builds its index, and **rotates** the
+//! result in as a new [`Snapshot`] behind an [`Arc`] swap. In-flight
+//! queries keep reading the snapshot they were admitted under — rotation
+//! never blocks or tears a reader — and every rotation flushes the plan
+//! cache.
 //!
 //! ```
 //! use twigserve::{QueryService, ServiceConfig};
@@ -86,8 +83,8 @@ use twig2stack::{
 };
 use xmldom::{apply_op, Document, EditDelta, EditError, EditOp, Label};
 use xmlindex::{
-    EditApply, ElementIndex, IndexView, IndexedElement, MappedIndex, MappedOpenError,
-    PruningPolicy, SummaryRef,
+    ElementIndex, IndexView, IndexedElement, MappedIndex, MappedOpenError, PruningPolicy,
+    SummaryRef,
 };
 
 /// Tuning knobs for a [`QueryService`].
@@ -375,12 +372,6 @@ impl IndexView for ServeIndex {
             ServeIndex::Mapped(i) => IndexView::label_count(i),
         }
     }
-    fn snapshot_version(&self) -> u64 {
-        match self {
-            ServeIndex::Heap(i) => i.version(),
-            ServeIndex::Mapped(_) => 0,
-        }
-    }
 }
 
 /// One immutable generation of the served document: the document and
@@ -417,13 +408,13 @@ impl Snapshot {
 pub struct EditReceipt {
     /// Version of the snapshot the edit published.
     pub version: u64,
-    /// The document-layer delta: splice coordinates, changed labels,
-    /// whether the whole document was renumbered.
+    /// The document-layer delta: splice coordinates and id shift.
     pub delta: EditDelta,
-    /// True when the index was rebuilt from scratch instead of patched
-    /// (renumbering, a new path, an emptied path, or a mapped backend).
+    /// Always `true`: every edit builds the post-edit index from
+    /// scratch. The field stays only because the `perfbench` benchmark
+    /// reads it.
     pub rebuilt: bool,
-    /// Cached plans this rotation invalidated.
+    /// Cached plans this rotation flushed.
     pub invalidated_plans: u64,
 }
 
@@ -436,10 +427,7 @@ pub struct BatchEditReceipt {
     pub version: u64,
     /// Edit ops the batch applied.
     pub ops_applied: usize,
-    /// True when any step rebuilt the index from scratch (the whole
-    /// plan cache was flushed in that case).
-    pub rebuilt: bool,
-    /// Cached plans the batch's single rotation invalidated.
+    /// Cached plans the batch's single rotation flushed.
     pub invalidated_plans: u64,
     /// One document-layer delta per applied op, in application order —
     /// delta `i` maps node ids of intermediate state `i` to state
@@ -531,54 +519,21 @@ impl QueryService {
 
     /// Apply one subtree edit and rotate the resulting snapshot in.
     ///
-    /// The new document and index are derived outside the snapshot lock
-    /// (readers are never blocked by the derivation, only by the final
-    /// pointer swap), then cached plans are invalidated: all of them if
-    /// the index was rebuilt (summary-id numbering may have moved —
-    /// always the case for a mapped backend, which is materialized to a
-    /// heap index by its first edit), otherwise exactly the plans whose
-    /// scanned labels intersect the edit's changed labels. Concurrent
-    /// edits serialize; a rejected edit changes nothing.
+    /// The new document and its index (always a heap
+    /// [`ElementIndex::build`], whatever the old backend) are derived
+    /// outside the snapshot lock, so readers are never blocked by the
+    /// derivation, only by the final pointer swap; then the plan cache is
+    /// flushed. Concurrent edits serialize; a rejected edit changes
+    /// nothing.
     pub fn apply_edit(&self, op: &EditOp) -> Result<EditReceipt, ServeError> {
         let _writer = self.edit_lock.lock().expect("edit lock poisoned");
         let old = self.snapshot();
         let (doc, delta) = apply_op(&old.doc, op)?;
-        let (index, how) = match &old.index {
-            ServeIndex::Heap(ix) => {
-                let (ix, how) = ix.apply_edit(&doc, &delta);
-                (ServeIndex::Heap(ix), how)
-            }
-            // v3 files are read-only; materialize the post-edit index on
-            // the heap. A rebuild, so every cached plan is stale.
-            ServeIndex::Mapped(_) => {
-                twigobs::add(twigobs::Counter::EditElementsReindexed, doc.len() as u64);
-                (
-                    ServeIndex::Heap(ElementIndex::build(&doc)),
-                    EditApply::Rebuilt,
-                )
-            }
-        };
-        let version = old.version + 1;
-        let next = Arc::new(Snapshot {
-            doc,
-            index,
-            version,
-        });
-        *self.snapshot.write().expect("snapshot lock poisoned") = next;
-        let rebuilt = how == EditApply::Rebuilt;
-        let changed = (!rebuilt).then_some(delta.changed_labels.as_slice());
-        let invalidated = self.cache.rotate(changed, version);
-        self.stats.edits.fetch_add(1, Ordering::Relaxed);
-        self.stats.rotations.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .invalidations
-            .fetch_add(invalidated, Ordering::Relaxed);
-        twigobs::bump(twigobs::Counter::SnapshotRotations);
-        twigobs::add(twigobs::Counter::PlanCacheInvalidations, invalidated);
+        let (version, invalidated) = self.rotate(&old, doc, 1);
         Ok(EditReceipt {
             version,
             delta,
-            rebuilt,
+            rebuilt: true,
             invalidated_plans: invalidated,
         })
     }
@@ -590,11 +545,11 @@ impl QueryService {
     /// before it — exactly the coordinates N sequential
     /// [`apply_edit`](Self::apply_edit) calls would use — and the final
     /// document and index are identical to that sequence's. What differs
-    /// is the publication: readers see either the pre-batch snapshot or
-    /// the fully edited one (never an intermediate), the plan cache pays
-    /// one rotation whose changed-label set is the union over all ops
-    /// (one full flush if any step rebuilt), and `snapshot_rotations`
-    /// advances by exactly 1.
+    /// is the publication: every op is applied to the document first and
+    /// one index is built at the end, readers see either the pre-batch
+    /// snapshot or the fully edited one (never an intermediate), the plan
+    /// cache is flushed once, and `snapshot_rotations` advances by
+    /// exactly 1.
     ///
     /// All-or-nothing: a rejected op aborts the whole batch before
     /// anything is published. An empty batch is a no-op (no rotation).
@@ -605,67 +560,49 @@ impl QueryService {
             return Ok(BatchEditReceipt {
                 version: old.version,
                 ops_applied: 0,
-                rebuilt: false,
                 invalidated_plans: 0,
                 deltas: Vec::new(),
             });
         }
-        let mut doc_cur: Option<Document> = None;
-        let mut ix_cur: Option<ElementIndex> = None;
-        let mut rebuilt = false;
-        let mut changed: Vec<Label> = Vec::new();
+        let mut doc: Option<Document> = None;
         let mut deltas: Vec<EditDelta> = Vec::with_capacity(ops.len());
         for op in ops {
-            let (next_doc, delta) = apply_op(doc_cur.as_ref().unwrap_or(&old.doc), op)?;
-            let (next_ix, how) = match (&ix_cur, &old.index) {
-                (Some(ix), _) => ix.apply_edit(&next_doc, &delta),
-                (None, ServeIndex::Heap(ix)) => ix.apply_edit(&next_doc, &delta),
-                // v3 files are read-only; the first op materializes the
-                // post-edit index on the heap (see apply_edit).
-                (None, ServeIndex::Mapped(_)) => {
-                    twigobs::add(
-                        twigobs::Counter::EditElementsReindexed,
-                        next_doc.len() as u64,
-                    );
-                    (ElementIndex::build(&next_doc), EditApply::Rebuilt)
-                }
-            };
-            rebuilt |= how == EditApply::Rebuilt;
-            for &l in &delta.changed_labels {
-                if !changed.contains(&l) {
-                    changed.push(l);
-                }
-            }
-            doc_cur = Some(next_doc);
-            ix_cur = Some(next_ix);
+            let (next, delta) = apply_op(doc.as_ref().unwrap_or(&old.doc), op)?;
+            doc = Some(next);
             deltas.push(delta);
         }
+        let doc = doc.expect("non-empty batch");
+        let (version, invalidated) = self.rotate(&old, doc, ops.len() as u64);
+        Ok(BatchEditReceipt {
+            version,
+            ops_applied: ops.len(),
+            invalidated_plans: invalidated,
+            deltas,
+        })
+    }
+
+    /// Publish `doc` (the result of `edits` ops against `old`) with a
+    /// freshly built index as the next snapshot, flush the plan cache and
+    /// count the rotation. Returns the new version and the plans flushed.
+    /// The caller holds the writer lock.
+    fn rotate(&self, old: &Snapshot, doc: Document, edits: u64) -> (u64, u64) {
+        let index = ServeIndex::Heap(ElementIndex::build(&doc));
         let version = old.version + 1;
         let next = Arc::new(Snapshot {
-            doc: doc_cur.expect("non-empty batch"),
-            index: ServeIndex::Heap(ix_cur.expect("non-empty batch")),
+            doc,
+            index,
             version,
         });
         *self.snapshot.write().expect("snapshot lock poisoned") = next;
-        let invalidated = self
-            .cache
-            .rotate((!rebuilt).then_some(changed.as_slice()), version);
-        self.stats
-            .edits
-            .fetch_add(ops.len() as u64, Ordering::Relaxed);
+        let invalidated = self.cache.flush();
+        self.stats.edits.fetch_add(edits, Ordering::Relaxed);
         self.stats.rotations.fetch_add(1, Ordering::Relaxed);
         self.stats
             .invalidations
             .fetch_add(invalidated, Ordering::Relaxed);
         twigobs::bump(twigobs::Counter::SnapshotRotations);
         twigobs::add(twigobs::Counter::PlanCacheInvalidations, invalidated);
-        Ok(BatchEditReceipt {
-            version,
-            ops_applied: ops.len(),
-            rebuilt,
-            invalidated_plans: invalidated,
-            deltas,
-        })
+        (version, invalidated)
     }
 
     /// Snapshot the service counters.
@@ -1230,11 +1167,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(receipt.version, 1);
-        assert!(
-            receipt.delta.renumbered,
-            "first insert into a dense document renumbers"
-        );
-        assert!(receipt.rebuilt);
         let after = svc.execute("//a/b").unwrap();
         assert_eq!(after.len(), before.len() + 1);
         let snap = svc.snapshot();
@@ -1248,61 +1180,6 @@ mod tests {
         let s = svc.stats();
         assert_eq!(s.edits_applied, 1);
         assert_eq!(s.snapshot_rotations, 1);
-    }
-
-    #[test]
-    fn rotation_invalidates_touched_plans_and_keeps_disjoint_ones() {
-        let svc = service(ServiceConfig::default());
-        let root = svc.snapshot().doc().root();
-        // First edit renumbers (rebuild) and leaves stride-16 gaps, so
-        // the second edit below can take the incremental patch path.
-        svc.apply_edit(&EditOp::InsertSubtree {
-            parent: Some(root),
-            position: 0,
-            subtree: xmldom::parse("<b><c/></b>").unwrap(),
-        })
-        .unwrap();
-        svc.execute("//d").unwrap();
-        svc.execute("//b/c").unwrap();
-        assert_eq!(svc.cached_plans(), 2);
-        let snap = svc.snapshot();
-        let new_b = snap.doc().children(snap.doc().root()).next().unwrap();
-        let receipt = svc
-            .apply_edit(&EditOp::InsertSubtree {
-                parent: Some(new_b),
-                position: 1,
-                subtree: xmldom::parse("<c/>").unwrap(),
-            })
-            .unwrap();
-        assert!(
-            !receipt.rebuilt,
-            "gap-fitting insert on a known path patches"
-        );
-        assert_eq!(receipt.delta.changed_labels.len(), 1, "only c changed");
-        assert_eq!(
-            receipt.invalidated_plans, 1,
-            "//b/c scans c; //d is disjoint"
-        );
-        let before = svc.stats();
-        svc.execute("//d").unwrap();
-        assert_eq!(
-            svc.stats().plan_cache_hits,
-            before.plan_cache_hits + 1,
-            "//d survived"
-        );
-        svc.execute("//b/c").unwrap();
-        assert_eq!(
-            svc.stats().plan_cache_misses,
-            before.plan_cache_misses + 1,
-            "//b/c re-planned"
-        );
-        let gtp = parse_twig("//b/c").unwrap();
-        let snap = svc.snapshot();
-        assert_eq!(
-            svc.execute("//b/c").unwrap(),
-            twig2stack::evaluate(snap.doc(), &gtp)
-        );
-        assert_eq!(svc.stats().plan_cache_invalidations, 1);
     }
 
     #[test]
@@ -1339,10 +1216,6 @@ mod tests {
                 subtree: xmldom::parse("<b><c/></b>").unwrap(),
             })
             .unwrap();
-        assert!(
-            receipt.rebuilt,
-            "a read-only mapped index is always rebuilt to the heap"
-        );
         assert_eq!(receipt.invalidated_plans, 1);
         let snap = svc.snapshot();
         assert!(
@@ -1451,7 +1324,6 @@ mod tests {
             BatchEditReceipt {
                 version: 0,
                 ops_applied: 0,
-                rebuilt: false,
                 invalidated_plans: 0,
                 deltas: Vec::new(),
             }

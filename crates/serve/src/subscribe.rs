@@ -58,13 +58,14 @@ pub struct SubNotification {
 ///
 /// `NodeId`s are dense preorder arena indices, so a raw id cannot
 /// identify an element across rotations: a splice shifts every id at or
-/// after the splice point. (Region tag positions are no better — the
-/// first insert into a dense document renumbers all of them.) What *is*
-/// exact is the edit layer's own bookkeeping: every [`EditDelta`]
-/// records the splice coordinates, and [`EditDelta::id_shift`] maps
-/// surviving pre-edit ids onto post-edit ids. So keys hold node ids,
-/// and [`remap_keys`] carries a slot's stored keys through each applied
-/// delta before diffing — renumbering is irrelevant to this scheme.
+/// after the splice point. (Region tag positions are no better — a
+/// splice that changes the node count moves every later tag position.)
+/// What *is* exact is the edit layer's own bookkeeping: every
+/// [`EditDelta`] records the splice coordinates, and
+/// [`EditDelta::id_shift`] maps surviving pre-edit ids onto post-edit
+/// ids. So keys hold node ids, and [`remap_keys`] carries a slot's
+/// stored keys through each applied delta before diffing — regions are
+/// irrelevant to this scheme.
 /// `Gone` marks a key that referenced a deleted node; fresh keys never
 /// contain it, so such rows always diff as removed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -4,35 +4,28 @@
 //! plan, and in-flight query reads it without synchronization. Edits
 //! therefore never mutate in place — [`apply_op`] is a pure function
 //! from `(document, op)` to a **new** document plus an [`EditDelta`]
-//! describing exactly what changed, the contract the incremental index
-//! maintenance in `xmlindex` patches from (DESIGN.md §15).
+//! describing the splice (DESIGN.md §15).
 //!
-//! ## Region encodings under edits
+//! ## An edited document is a parsed document
 //!
-//! Fresh builds number regions densely from one global tag counter
-//! (`[1,2], [3,8], …`), which leaves **no** spare positions between
-//! neighbouring tags. An inserted subtree needs `2·k` unused positions
-//! strictly between its left and right neighbour boundaries, so the
-//! first insert into a dense document — and any insert into an
-//! exhausted gap — triggers a whole-document **renumber** with stride
-//! [`RENUMBER_STRIDE`]: every tag position is re-assigned `16, 32, 48,
-//! …`, buying 15 spare slots inside every gap while preserving all
-//! nesting relations (the renumbering is monotone in tag order).
-//! Renumbers are counted (`renumber_events`) and flagged on the delta,
-//! because they invalidate every region an index has stored; gap-fitting
-//! edits touch **only** the spliced subtree's regions, which is what
-//! makes incremental index maintenance cheap. Deletes never renumber.
-//!
-//! Node ids stay dense and in preorder after every edit (the arena is
-//! compacted in one pass), so a subtree edit shifts the ids of every
+//! The edited document is rebuilt in one preorder pass that numbers
+//! regions from one global tag counter, exactly as [`DocumentBuilder`]
+//! does for a parse (`[1,2], [3,8], …`). Every edited document therefore
+//! carries the regions, ids and levels that
+//! `parse(&write(&edited, Indent::None))` would assign; only its label
+//! table differs, because labels keep their ids across edits. Node ids
+//! stay dense and in preorder, so a subtree edit shifts the ids of every
 //! node at or after the splice point by `inserted − removed` — the
 //! id-shift recorded in the delta.
 //!
+//! [`DocumentBuilder`]: crate::DocumentBuilder
+//!
 //! ```
 //! use xmldom::edit::{apply_op, EditOp};
+//! use xmldom::{parse, write, Indent};
 //!
-//! let doc = xmldom::parse("<a><b/><c/></a>").unwrap();
-//! let sub = xmldom::parse("<x><y/></x>").unwrap();
+//! let doc = parse("<a><b/><c/></a>").unwrap();
+//! let sub = parse("<x><y/></x>").unwrap();
 //! let op = EditOp::InsertSubtree {
 //!     parent: Some(doc.root()),
 //!     position: 1,
@@ -41,17 +34,14 @@
 //! let (edited, delta) = apply_op(&doc, &op).unwrap();
 //! assert_eq!(edited.len(), 5);
 //! assert_eq!(delta.inserted, 2);
-//! assert!(delta.renumbered, "a dense document has no gaps to fit into");
+//! let reparsed = parse(&write(&edited, Indent::None)).unwrap();
+//! for n in edited.iter() {
+//!     assert_eq!(edited.region(n), reparsed.region(n));
+//! }
 //! ```
 
 use crate::document::{Document, NodeData, NodeId, NONE};
-use crate::label::Label;
 use crate::region::Region;
-
-/// Tag-position stride used when a document is renumbered: every start
-/// and end tag lands on a multiple of this, leaving `RENUMBER_STRIDE - 1`
-/// spare positions inside every gap for future inserts.
-pub const RENUMBER_STRIDE: u32 = 16;
 
 /// One subtree edit against a [`Document`]. Node ids refer to the
 /// document the op is applied to; subtrees are standalone documents
@@ -124,9 +114,9 @@ impl std::fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-/// What one applied [`EditOp`] changed, in terms an index can patch
-/// from: a single contiguous preorder splice plus the set of labels
-/// whose element partitions it touched.
+/// What one applied [`EditOp`] changed: a single contiguous preorder
+/// splice. Subscriptions carry row identity across snapshots with
+/// [`map_id`](EditDelta::map_id).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EditDelta {
     /// Arena index where the splice starts — the first removed node's
@@ -136,11 +126,11 @@ pub struct EditDelta {
     pub removed: u32,
     /// Nodes inserted at `at` (ditto).
     pub inserted: u32,
-    /// Labels of every removed and inserted node, deduplicated and
-    /// sorted — the plan-cache invalidation key.
-    pub changed_labels: Vec<Label>,
-    /// True iff the whole document was renumbered: every region changed,
-    /// not just the spliced subtree's. Deletes never set this.
+    /// True iff a surviving node's region moved: some node outside the
+    /// splice survived (`at > 0`) and the splice changed the node count
+    /// (`inserted != removed`), so every later tag position and every
+    /// enclosing `right` shifted. Nothing in the workspace reads it; the
+    /// name stays only because the `perfbench` benchmark reports it.
     pub renumbered: bool,
 }
 
@@ -156,10 +146,9 @@ impl EditDelta {
     /// (`None` — the node no longer exists), ids at or after the splice
     /// end shift by [`id_shift`](EditDelta::id_shift). Composing
     /// `map_id` across a sequence of deltas carries an id through a
-    /// whole edit chain — note this tracks *ids*, which renumbering
-    /// never touches, so it stays exact across a whole-document
-    /// renumber (the subscription layer's cross-snapshot row identity
-    /// is built on it).
+    /// whole edit chain — it tracks *ids*, not regions, so it stays
+    /// exact however far the splice moved later tag positions (the
+    /// subscription layer's cross-snapshot row identity is built on it).
     pub fn map_id(&self, id: u32) -> Option<u32> {
         if id < self.at {
             Some(id)
@@ -182,15 +171,6 @@ fn subtree_end(doc: &Document, n: NodeId) -> usize {
     j
 }
 
-/// How the rebuilt arena assigns regions.
-enum Numbering {
-    /// Surviving nodes keep their regions; spliced-in nodes consume the
-    /// pre-allocated tag positions (2 per node, in tag order).
-    Keep(Vec<u32>),
-    /// Every tag position is re-assigned on a [`RENUMBER_STRIDE`] grid.
-    Renumber,
-}
-
 /// Where a node of the logical edited tree comes from.
 #[derive(Clone, Copy)]
 enum Src {
@@ -202,11 +182,10 @@ enum Src {
 
 /// Apply one edit, returning the edited document and its delta.
 ///
-/// The returned document is rebuilt into dense preorder ids (an O(n)
-/// compaction) with the input's label table carried over — labels keep
-/// their ids across edits, which is what lets `xmlindex` patch per-label
-/// partitions instead of rebuilding them. Regions of surviving nodes are
-/// preserved verbatim unless the delta says `renumbered`.
+/// The returned document is rebuilt into dense preorder ids and regions
+/// numbered from one global tag counter (an O(n) pass), so it equals a
+/// fresh parse of its own serialization; the input's label table is
+/// carried over, so labels keep their ids across edits.
 pub fn apply_op(doc: &Document, op: &EditOp) -> Result<(Document, EditDelta), EditError> {
     let valid = |n: NodeId| {
         if n.index() < doc.len() {
@@ -217,9 +196,8 @@ pub fn apply_op(doc: &Document, op: &EditOp) -> Result<(Document, EditDelta), Ed
     };
 
     // Normalize the op into one contiguous preorder splice:
-    // `at .. at + removed` (old ids) replaced by `subtree` (if any),
-    // grafted under `splice_parent` in place of/next to `anchor`.
-    let (at, removed, subtree, numbering) = match op {
+    // `at .. at + removed` (old ids) replaced by `subtree` (if any).
+    let (at, removed, subtree) = match op {
         EditOp::InsertSubtree { parent: None, subtree, .. } => {
             if !doc.is_empty() {
                 return Err(EditError::SecondRoot);
@@ -227,125 +205,52 @@ pub fn apply_op(doc: &Document, op: &EditOp) -> Result<(Document, EditDelta), Ed
             if subtree.is_empty() {
                 return Err(EditError::EmptySubtree);
             }
-            (0usize, 0usize, Some(subtree), fresh_numbering(subtree.len()))
+            (0usize, 0usize, Some(subtree))
         }
         EditOp::InsertSubtree { parent: Some(p), position, subtree } => {
             let p = valid(*p)?;
             if subtree.is_empty() {
                 return Err(EditError::EmptySubtree);
             }
-            let children: Vec<NodeId> = doc.children(p).collect();
-            if *position > children.len() {
+            let arity = doc.children(p).count();
+            if *position > arity {
                 return Err(EditError::PositionOutOfRange {
                     position: *position,
-                    arity: children.len(),
+                    arity,
                 });
             }
-            let at = if *position < children.len() {
-                children[*position].index()
-            } else {
-                subtree_end(doc, p)
+            let at = match doc.children(p).nth(*position) {
+                Some(c) => c.index(),
+                None => subtree_end(doc, p),
             };
-            let lo = if *position > 0 {
-                doc.region(children[*position - 1]).right
-            } else {
-                doc.region(p).left
-            };
-            let hi = if *position < children.len() {
-                doc.region(children[*position]).left
-            } else {
-                doc.region(p).right
-            };
-            (at, 0, Some(subtree), gap_numbering(lo, hi, subtree.len()))
+            (at, 0, Some(subtree))
         }
         EditOp::DeleteSubtree { target } => {
             let t = valid(*target)?;
-            (t.index(), subtree_end(doc, t) - t.index(), None, Numbering::Keep(Vec::new()))
+            (t.index(), subtree_end(doc, t) - t.index(), None)
         }
         EditOp::ReplaceSubtree { target, subtree } => {
             let t = valid(*target)?;
             if subtree.is_empty() {
                 return Err(EditError::EmptySubtree);
             }
-            let at = t.index();
-            let removed = subtree_end(doc, t) - at;
-            let numbering = match doc.parent(t) {
-                None => fresh_numbering(subtree.len()),
-                Some(p) => {
-                    let mut prev: Option<NodeId> = None;
-                    let mut next: Option<NodeId> = None;
-                    let mut seen = false;
-                    for c in doc.children(p) {
-                        if c == t {
-                            seen = true;
-                        } else if seen {
-                            next = Some(c);
-                            break;
-                        } else {
-                            prev = Some(c);
-                        }
-                    }
-                    let lo = prev.map(|c| doc.region(c).right).unwrap_or(doc.region(p).left);
-                    let hi = next.map(|c| doc.region(c).left).unwrap_or(doc.region(p).right);
-                    gap_numbering(lo, hi, subtree.len())
-                }
-            };
-            (at, removed, Some(subtree), numbering)
+            (t.index(), subtree_end(doc, t) - t.index(), Some(subtree))
         }
     };
-
-    if matches!(numbering, Numbering::Renumber) {
-        twigobs::bump(twigobs::Counter::RenumberEvents);
-    }
-    let renumbered = matches!(numbering, Numbering::Renumber);
     let inserted = subtree.map_or(0, Document::len);
 
     // The op the splice came from pins where the subtree grafts.
     let splice = Splice { removed, subtree, op };
-    let out = rebuild(doc, &splice, numbering);
-
-    let mut changed_labels: Vec<Label> = (at..at + removed)
-        .map(|i| doc.label(NodeId::from_index(i)))
-        .chain((at..at + inserted).map(|i| out.label(NodeId::from_index(i))))
-        .collect();
-    changed_labels.sort_unstable();
-    changed_labels.dedup();
+    let out = rebuild(doc, &splice);
 
     twigobs::bump(twigobs::Counter::EditsApplied);
     let delta = EditDelta {
         at: at as u32,
         removed: removed as u32,
         inserted: inserted as u32,
-        changed_labels,
-        renumbered,
+        renumbered: at > 0 && inserted != removed,
     };
     Ok((out, delta))
-}
-
-/// Numbering for a splice with no surviving neighbours (empty document
-/// or root replacement): a fresh [`RENUMBER_STRIDE`] grid, not counted
-/// as a renumber event because no pre-existing region moves.
-fn fresh_numbering(nodes: usize) -> Numbering {
-    Numbering::Keep((0..2 * nodes as u32).map(|j| (j + 1) * RENUMBER_STRIDE).collect())
-}
-
-/// Allocate `2·nodes` tag positions strictly inside `(lo, hi)`, evenly
-/// spread when the gap is roomy (leaving space for future inserts),
-/// packed when tight, renumbering when the gap budget is exhausted.
-fn gap_numbering(lo: u32, hi: u32, nodes: usize) -> Numbering {
-    debug_assert!(lo < hi, "neighbour boundaries are distinct tag positions");
-    let need = 2 * nodes as u64;
-    let gap = (hi - lo) as u64 - 1;
-    if gap < need {
-        return Numbering::Renumber;
-    }
-    let step = ((hi - lo) as u64 / (need + 1)) as u32;
-    let positions = if step >= 1 {
-        (0..need as u32).map(|j| lo + (j + 1) * step).collect()
-    } else {
-        (0..need as u32).map(|j| lo + 1 + j).collect()
-    };
-    Numbering::Keep(positions)
 }
 
 struct Splice<'a> {
@@ -356,9 +261,10 @@ struct Splice<'a> {
 
 /// One-pass preorder rebuild of the logical edited tree: arena links are
 /// reconstructed from scratch (so ids are dense preorder again), regions
-/// come from the numbering mode, labels are carried over or re-interned,
-/// and text/attrs are remapped onto the new ids.
-fn rebuild(doc: &Document, splice: &Splice<'_>, numbering: Numbering) -> Document {
+/// come from one global tag counter as in `DocumentBuilder`, labels are
+/// carried over or re-interned, and text/attrs are remapped onto the new
+/// ids.
+fn rebuild(doc: &Document, splice: &Splice<'_>) -> Document {
     let mut out = Document {
         nodes: Vec::with_capacity(doc.len() - splice.removed + splice.subtree.map_or(0, |s| s.len())),
         labels: doc.labels.clone(),
@@ -366,18 +272,8 @@ fn rebuild(doc: &Document, splice: &Splice<'_>, numbering: Numbering) -> Documen
         attrs: Default::default(),
         text_postings: Default::default(),
     };
-    let (mut alloc, mut counter, renumber) = match numbering {
-        Numbering::Keep(positions) => (positions.into_iter(), 0u32, false),
-        Numbering::Renumber => (Vec::new().into_iter(), 0u32, true),
-    };
-    let mut next_pos = move || {
-        if renumber {
-            counter += RENUMBER_STRIDE;
-            counter
-        } else {
-            alloc.next().expect("allocation covers every spliced tag")
-        }
-    };
+    // Global tag counter: incremented at every start and end tag.
+    let mut counter = 0u32;
 
     // The roots of the logical edited tree.
     let roots: Vec<Src> = match (doc.is_empty(), splice.op) {
@@ -443,21 +339,16 @@ fn rebuild(doc: &Document, splice: &Splice<'_>, numbering: Numbering) -> Documen
             let idx = out.nodes.len() as u32;
             let level = open.len() as u32 + 1;
             let parent = open.last().copied().unwrap_or(NONE);
-            let (label, region, src_doc, src_id) = match src {
-                Src::Old(n) => {
-                    let region = if renumber {
-                        Region::new(next_pos(), u32::MAX, level)
-                    } else {
-                        doc.region(n)
-                    };
-                    (doc.label(n), region, doc, n)
-                }
+            let (label, src_doc, src_id) = match src {
+                Src::Old(n) => (doc.label(n), doc, n),
                 Src::Sub(m) => {
                     let sub = splice.subtree.expect("spliced");
-                    let label = out.labels.intern(sub.tag_name(m));
-                    (label, Region::new(next_pos(), u32::MAX, level), sub, m)
+                    (out.labels.intern(sub.tag_name(m)), sub, m)
                 }
             };
+            counter += 1;
+            // `right` is set by the matching end event.
+            let region = Region::new(counter, u32::MAX, level);
             if let Some(t) = src_doc.text(src_id) {
                 out.text.insert(idx, t.to_string());
             }
@@ -491,12 +382,9 @@ fn rebuild(doc: &Document, splice: &Splice<'_>, numbering: Numbering) -> Documen
         } else {
             iters.pop();
             if let Some(idx) = open.pop() {
-                // End event: patch `right` for nodes that got a fresh
-                // left (spliced or renumbered); survivors already carry
-                // their full region.
-                if out.nodes[idx as usize].region.right == u32::MAX {
-                    out.nodes[idx as usize].region.right = next_pos();
-                }
+                // End event.
+                counter += 1;
+                out.nodes[idx as usize].region.right = counter;
             }
         }
     }
@@ -511,33 +399,6 @@ mod tests {
 
     fn doc(xml: &str) -> Document {
         parse(xml).unwrap()
-    }
-
-    /// Edited documents must be indistinguishable (modulo label-table
-    /// ordering and exact region values) from a fresh parse: same shape,
-    /// same tags, same text/attrs, dense preorder ids, well-nested
-    /// regions.
-    fn assert_well_formed(d: &Document) {
-        for n in d.iter() {
-            let r = d.region(n);
-            assert!(r.left < r.right, "{n}: {r:?}");
-            if let Some(p) = d.parent(n) {
-                assert!(d.region(p).is_parent_of(&r), "{n} under {p}");
-                assert!(p.index() < n.index(), "parent precedes child in preorder");
-            } else {
-                assert_eq!(n.index(), 0, "only the root lacks a parent");
-                assert_eq!(r.level, 1);
-            }
-        }
-        if !d.is_empty() {
-            let pre: Vec<NodeId> = d.descendants_or_self(d.root()).collect();
-            let seq: Vec<NodeId> = d.iter().collect();
-            assert_eq!(pre, seq, "ids are dense preorder");
-        }
-        // Document order of start tags follows id order.
-        for w in d.iter().collect::<Vec<_>>().windows(2) {
-            assert!(d.region(w[0]).left < d.region(w[1]).left);
-        }
     }
 
     fn shape(d: &Document) -> String {
@@ -556,100 +417,84 @@ mod tests {
         s
     }
 
+    /// Node by node, `d` equals a fresh parse of its own serialization:
+    /// tag name, region, parent, text and attributes.
+    fn assert_parses_back(d: &Document) {
+        if d.is_empty() {
+            return;
+        }
+        let fresh = parse(&crate::write(d, crate::Indent::None)).unwrap();
+        assert_eq!(d.len(), fresh.len());
+        for n in d.iter() {
+            assert_eq!(d.tag_name(n), fresh.tag_name(n), "{n}");
+            assert_eq!(d.region(n), fresh.region(n), "{n}");
+            assert_eq!(d.parent(n), fresh.parent(n), "{n}");
+            assert_eq!(d.text(n), fresh.text(n), "{n}");
+            assert_eq!(d.attributes(n), fresh.attributes(n), "{n}");
+        }
+    }
+
     #[test]
-    fn first_insert_into_dense_document_renumbers() {
-        let base = doc("<a><b/><c/></a>");
-        let (edited, delta) = apply_op(
+    fn every_edit_numbers_regions_like_a_fresh_parse() {
+        let base = doc("<a><b><c/><d/></b><e/></a>");
+        let root = base.root();
+        let b = base.first_child(root).unwrap();
+
+        // Insert: later tags and the root's end move.
+        let (inserted, delta) = apply_op(
             &base,
             &EditOp::InsertSubtree {
-                parent: Some(base.root()),
+                parent: Some(root),
                 position: 1,
                 subtree: doc("<x><y/></x>"),
             },
         )
         .unwrap();
-        assert!(delta.renumbered, "dense regions leave no gap");
-        assert_eq!((delta.at, delta.removed, delta.inserted), (2, 0, 2));
-        assert_eq!(shape(&edited), "a(b()x(y())c())");
-        assert_well_formed(&edited);
-        // Renumbered regions sit on the stride grid.
-        for n in edited.iter() {
-            assert_eq!(edited.region(n).left % RENUMBER_STRIDE, 0);
-        }
-    }
+        assert_eq!(shape(&inserted), "a(b(c()d())x(y())e())");
+        assert_eq!((delta.at, delta.removed, delta.inserted), (4, 0, 2));
+        assert!(delta.renumbered, "e and the root moved");
+        assert_parses_back(&inserted);
 
-    #[test]
-    fn second_insert_fits_the_gap() {
-        let base = doc("<a><b/><c/></a>");
-        let sub = || doc("<x/>");
-        let (once, d1) = apply_op(
-            &base,
-            &EditOp::InsertSubtree { parent: Some(base.root()), position: 2, subtree: sub() },
-        )
-        .unwrap();
-        assert!(d1.renumbered);
-        let before: Vec<Region> = once.iter().map(|n| once.region(n)).collect();
-        let (twice, d2) = apply_op(
-            &once,
-            &EditOp::InsertSubtree { parent: Some(once.root()), position: 3, subtree: sub() },
-        )
-        .unwrap();
-        assert!(!d2.renumbered, "the renumbered document has gaps");
-        assert_eq!(shape(&twice), "a(b()c()x()x())");
-        assert_well_formed(&twice);
-        // Every surviving node kept its region verbatim.
-        for (i, r) in before.iter().enumerate() {
-            assert_eq!(twice.region(NodeId::from_index(i)), *r, "survivor {i}");
-        }
-    }
-
-    #[test]
-    fn exhausting_the_gap_between_two_siblings_renumbers_again() {
-        // Keep inserting single nodes between the first two children:
-        // each insert subdivides the same sibling gap until the budget
-        // (RENUMBER_STRIDE - 1 spare positions after a renumber) runs
-        // out and a second renumber fires.
-        let mut d = doc("<a><b/><c/></a>");
-        let mut renumbers = 0;
-        for _ in 0..12 {
-            let (next, delta) = apply_op(
-                &d,
-                &EditOp::InsertSubtree {
-                    parent: Some(d.root()),
-                    position: 1,
-                    subtree: doc("<x/>"),
-                },
-            )
-            .unwrap();
-            if delta.renumbered {
-                renumbers += 1;
-            }
-            assert_well_formed(&next);
-            d = next;
-        }
-        assert_eq!(d.len(), 15);
-        assert!(
-            renumbers >= 2,
-            "the first insert renumbers, and repeated same-gap inserts \
-             must exhaust the stride budget and renumber again ({renumbers})"
-        );
-        // Correctness after every renumber: shape intact, regions nested.
-        assert_eq!(shape(&d).matches("x()").count(), 12);
-    }
-
-    #[test]
-    fn delete_keeps_all_surviving_regions() {
-        let base = doc("<a><b><c/><d/></b><e/></a>");
-        let b = base.first_child(base.root()).unwrap();
-        let (edited, delta) = apply_op(&base, &EditOp::DeleteSubtree { target: b }).unwrap();
-        assert!(!delta.renumbered, "deletes never renumber");
+        // Delete: ids and regions close up behind the splice.
+        let (deleted, delta) = apply_op(&base, &EditOp::DeleteSubtree { target: b }).unwrap();
+        assert_eq!(shape(&deleted), "a(e())");
         assert_eq!((delta.at, delta.removed, delta.inserted), (1, 3, 0));
         assert_eq!(delta.id_shift(), -3);
-        assert_eq!(shape(&edited), "a(e())");
-        assert_well_formed(&edited);
-        assert_eq!(edited.region(edited.root()), base.region(base.root()));
-        let e_old = base.next_sibling(b).unwrap();
-        assert_eq!(edited.region(NodeId::from_index(1)), base.region(e_old));
+        assert!(delta.renumbered);
+        assert_parses_back(&deleted);
+
+        // Same-size replace: no surviving region moves.
+        let (replaced, delta) = apply_op(
+            &base,
+            &EditOp::ReplaceSubtree {
+                target: b,
+                subtree: doc("<z><y/><y/></z>"),
+            },
+        )
+        .unwrap();
+        assert_eq!(shape(&replaced), "a(z(y()y())e())");
+        assert!(!delta.renumbered, "three nodes out, three in");
+        for n in [root, NodeId::from_index(4)] {
+            assert_eq!(replaced.region(n), base.region(n), "{n}");
+        }
+        assert_parses_back(&replaced);
+
+        // Root delete, then revive: nothing survives either splice.
+        let (empty, delta) = apply_op(&base, &EditOp::DeleteSubtree { target: root }).unwrap();
+        assert!(empty.is_empty());
+        assert!(!delta.renumbered);
+        let (revived, delta) = apply_op(
+            &empty,
+            &EditOp::InsertSubtree {
+                parent: None,
+                position: 0,
+                subtree: doc("<r><s/></r>"),
+            },
+        )
+        .unwrap();
+        assert_eq!(shape(&revived), "r(s())");
+        assert!(!delta.renumbered);
+        assert_parses_back(&revived);
     }
 
     #[test]
@@ -667,7 +512,7 @@ mod tests {
         .unwrap();
         assert_eq!(shape(&revived), "r(s())");
         assert!(!delta.renumbered);
-        assert_well_formed(&revived);
+        assert_parses_back(&revived);
     }
 
     #[test]
@@ -684,9 +529,7 @@ mod tests {
         .unwrap();
         assert_eq!(shape(&edited), "a(b()z()e())");
         assert_eq!((delta.at, delta.removed, delta.inserted), (2, 2, 1));
-        assert_well_formed(&edited);
-        // Replacing a 2-node subtree with 1 node fits the freed gap.
-        assert!(!delta.renumbered);
+        assert_parses_back(&edited);
     }
 
     #[test]
@@ -700,7 +543,7 @@ mod tests {
         assert_eq!(shape(&edited), "r(s()t())");
         assert!(!delta.renumbered, "nothing outside the splice exists to move");
         assert_eq!((delta.at, delta.removed, delta.inserted), (0, 2, 3));
-        assert_well_formed(&edited);
+        assert_parses_back(&edited);
     }
 
     #[test]
@@ -719,21 +562,6 @@ mod tests {
         assert_eq!(edited.text(n), Some("new"));
         // Pure function: the input document is untouched.
         assert_eq!(base.text(c), Some("drop"));
-    }
-
-    #[test]
-    fn changed_labels_cover_removed_and_inserted() {
-        let base = doc("<a><b><c/></b></a>");
-        let b = base.first_child(base.root()).unwrap();
-        let (edited, delta) =
-            apply_op(&base, &EditOp::ReplaceSubtree { target: b, subtree: doc("<x><c/></x>") })
-                .unwrap();
-        let names: Vec<&str> = delta
-            .changed_labels
-            .iter()
-            .map(|&l| edited.labels().name(l))
-            .collect();
-        assert_eq!(names, vec!["b", "c", "x"]);
     }
 
     #[test]
@@ -798,6 +626,7 @@ mod tests {
         assert_eq!(edited.len(), 4001);
         assert!(delta.renumbered);
         assert_eq!(edited.region(NodeId::from_index(4000)).level, 4001);
+        assert_eq!(edited.region(edited.root()).right, 2 * 4001);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod stats;
 pub mod writer;
 
 pub use document::{BuildError, Document, DocumentBuilder, NodeId};
-pub use edit::{apply_op, EditDelta, EditError, EditOp, RENUMBER_STRIDE};
+pub use edit::{apply_op, EditDelta, EditError, EditOp};
 pub use event::{DocEvents, Event, EventParser};
 pub use label::{Label, LabelTable};
 pub use parser::{parse, ParseError, ParseErrorKind};
